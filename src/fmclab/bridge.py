@@ -9,7 +9,7 @@ lambda -> stack -> lambda is beta-eta-identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .lambda_calc import (
     LambdaTerm,
@@ -94,7 +94,7 @@ class CNondet:
     right: "CbvTerm"
 
 
-CbvTerm = Union[CVar, CLit, CApp, CLam, CRead, CWrite, CAssign, CDeref, CProb, CNondet]
+CbvTerm = CVar | CLit | CApp | CLam | CRead | CWrite | CAssign | CDeref | CProb | CNondet
 
 
 class UndeclaredCell(Exception):
@@ -182,7 +182,7 @@ class VClos:
     env: dict
 
 
-CbvValue = Union[VInt, VClos]
+CbvValue = VInt | VClos
 
 
 class CbvStuck(Exception):

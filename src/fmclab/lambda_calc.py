@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 
 # -- syntax -------------------------------------------------------------------
@@ -36,7 +36,7 @@ class LTuple:
     items: tuple["LambdaTerm", ...]
 
 
-LambdaTerm = Union[LVar, LApp, LLam, LTuple]
+LambdaTerm = LVar | LApp | LLam | LTuple
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class PTuple:
     items: tuple["Pattern", ...]
 
 
-Pattern = Union[PVar, PTuple]
+Pattern = PVar | PTuple
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class LProd:
     items: tuple["LambdaType", ...]
 
 
-LambdaType = Union[LBase, LArrow, LProd]
+LambdaType = LBase | LArrow | LProd
 
 LUNIT = LProd(())
 

@@ -12,7 +12,7 @@ a machine-run-length predictor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .syntax import NIL, Location, Pop, Push, Term
 from .typesys import Arrow, Base, Derivation, Mem, SimpleType, TVar, Vector
@@ -48,7 +48,7 @@ class VFun:
         return self.fn(arg)
 
 
-SnValue = Union[VUnit, VFun]
+SnValue = VUnit | VFun
 
 
 def _norm(mv: MemVal) -> MemVal:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 
 @dataclass(frozen=True, order=True)
@@ -130,56 +130,68 @@ def var(name: str) -> Term:
     return SeqVar(name, NIL)
 
 
+# The traversals below walk the continuation spine in a loop, so that only
+# `Push.arg` nests and long action sequences stay off the Python stack.
+
 def size(t: Term) -> int:
-    match t:
-        case Nil():
-            return 1
-        case SeqVar(_, cont) | Pop(_, _, cont) | Const(_, cont):
-            return 1 + size(cont)
-        case Push(arg, _, cont):
-            return 1 + size(arg) + size(cont)
-    raise TypeError(t)
+    n = 1
+    while type(t) is not Nil:
+        if type(t) is Push:
+            n += size(t.arg)
+        n += 1
+        t = t.cont
+    return n
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Nil():
-            return frozenset()
-        case SeqVar(x, cont):
-            return free_vars(cont) | {x}
-        case Push(arg, _, cont):
-            return free_vars(arg) | free_vars(cont)
-        case Pop(_, x, cont):
-            return free_vars(cont) - {x}
-        case Const(_, cont):
-            return free_vars(cont)
-    raise TypeError(t)
+    free: set[str] = set()
+    bound: set[str] = set()  # binders passed so far scope over the rest of the spine
+    while True:
+        kind = type(t)
+        if kind is Nil:
+            return frozenset(free)
+        if kind is SeqVar:
+            if t.var not in bound:
+                free.add(t.var)
+        elif kind is Push:
+            inner = free_vars(t.arg)
+            free.update(inner - bound if bound else inner)
+        elif kind is Pop:
+            bound.add(t.var)
+        elif kind is not Const:
+            raise TypeError(t)
+        t = t.cont
 
 
 def locations_of(t: Term) -> frozenset[Location]:
-    match t:
-        case Nil():
-            return frozenset()
-        case SeqVar(_, cont) | Const(_, cont):
-            return locations_of(cont)
-        case Push(arg, loc, cont):
-            return locations_of(arg) | {loc} | locations_of(cont)
-        case Pop(loc, _, cont):
-            return {loc} | locations_of(cont)
-    raise TypeError(t)
+    locs: set[Location] = set()
+    while True:
+        kind = type(t)
+        if kind is Nil:
+            return frozenset(locs)
+        if kind is Push:
+            locs.add(t.loc)
+            locs.update(locations_of(t.arg))
+        elif kind is Pop:
+            locs.add(t.loc)
+        elif kind is not SeqVar and kind is not Const:
+            raise TypeError(t)
+        t = t.cont
 
 
 def constants_of(t: Term) -> frozenset[ConstSym]:
-    match t:
-        case Nil():
-            return frozenset()
-        case SeqVar(_, cont) | Pop(_, _, cont):
-            return constants_of(cont)
-        case Push(arg, _, cont):
-            return constants_of(arg) | constants_of(cont)
-        case Const(sym, cont):
-            return constants_of(cont) | {sym}
-    raise TypeError(t)
+    syms: set[ConstSym] = set()
+    while True:
+        kind = type(t)
+        if kind is Nil:
+            return frozenset(syms)
+        if kind is Const:
+            syms.add(t.sym)
+        elif kind is Push:
+            syms.update(constants_of(t.arg))
+        elif kind is not SeqVar and kind is not Pop:
+            raise TypeError(t)
+        t = t.cont
 
 
 _fresh_counter = itertools.count()
@@ -331,7 +343,7 @@ class PopFrame:
     annot: Optional["object"] = None
 
 
-Frame = Union[PushFrame, PopFrame]
+Frame = PushFrame | PopFrame
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .syntax import (
     MAIN,
@@ -76,7 +76,7 @@ class Arrow:
     output: Mem
 
 
-SimpleType = Union[Base, Arrow, TVar]
+SimpleType = Base | Arrow | TVar
 
 EMPTY_VEC = Vector()
 EMPTY_MEM = Mem()

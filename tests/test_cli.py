@@ -144,3 +144,31 @@ def test_equiv_seed_flag(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "equiv", str(one), str(one),
                            "--type", "Z > Z", "--seed", "5")
     assert code == 0
+
+
+def run_fmc(*argv):
+    return subprocess.run([sys.executable, "-m", "fmclab.cli", *argv],
+                          capture_output=True, text=True, cwd=".")
+
+
+def binder_chain(n: int) -> str:
+    """`[5].<x0>.[x0].<x1>.[x1]...`: 2n + 1 actions, each one machine step."""
+    return "[5]." + ".".join(f"<x{i}>.[x{i}]" for i in range(n)) + "\n"
+
+
+def test_run_long_program(tmp_path):
+    src = tmp_path / "long.fmc"
+    src.write_text(binder_chain(5000))
+    done = run_fmc("run", str(src))
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert done.stdout.splitlines() == ["final: lam = 5", "steps: 10001"]
+
+
+def test_trace_long_program(tmp_path):
+    src = tmp_path / "long.fmc"
+    src.write_text(binder_chain(500))
+    done = run_fmc("trace", str(src))
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    lines = done.stdout.splitlines()
+    assert len([l for l in lines if "||" in l]) == 1002
+    assert lines[-2:] == ["final: lam = 5", "steps: 1001"]
