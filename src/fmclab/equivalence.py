@@ -24,7 +24,6 @@ from .syntax import (
     Pop,
     Push,
     Term,
-    alpha_eq,
     compose,
     free_vars,
     fresh_name,
@@ -136,7 +135,7 @@ def inhabitants(ty: SimpleType, size_bound: int = 7, limit: int = 6) -> list[Ter
                 cands: list[Term] = [var(name) for (bloc, i), name in binders.items()
                                      if inp.get(bloc).items[i] == t]
                 for sub in inhabitants(t, max(1, size_bound - 2), max(1, limit // 2)):
-                    if all(not alpha_eq(sub, c) for c in cands if not free_vars(c)):
+                    if all(sub != c for c in cands if not free_vars(c)):
                         cands.append(sub)
                 if not cands:
                     _INHABITANT_CACHE[key] = []
@@ -164,7 +163,7 @@ def machine_equiv(m: Term, n: Term, ty: SimpleType, budget: TestBudget = TestBud
                   delta: DeltaRegistry = DEFAULT_REGISTRY) -> EquivVerdict:
     """Test observational equivalence of two closed terms at a ground type."""
     if isinstance(ty, Base):
-        same = alpha_eq(m, n)
+        same = m == n
         return EquivVerdict(not same, None if same else {}, "base-type literals differ" if not same else "")
     assert isinstance(ty, Arrow)
     import itertools
@@ -214,7 +213,7 @@ def _compare_runs(m, n, memory, out_shape: Mem, budget, delta) -> Optional[str]:
                                                budget.depth - 1, budget.fuel), delta)
                 if sub.distinguished:
                     return f"outputs on {loc.name or 'main'}[{i}] distinguished: {sub.detail}"
-            elif not alpha_eq(a, b):
+            elif a != b:
                 return f"outputs on {loc.name or 'main'}[{i}] differ: {print_term(a)} vs {print_term(b)}"
     return None
 

@@ -29,7 +29,6 @@ from .syntax import (
     Push,
     SeqVar,
     Term,
-    canonical_key,
     size,
     var,
 )
@@ -83,10 +82,9 @@ def random_typed_terms(seed: int, count: int, max_size: int = 20,
         t = random_term(rng, rng.randint(2, max_size), ())
         if size(t) > max_size:
             continue
-        key = canonical_key(t)
-        if key in seen:
+        if t in seen:
             continue
-        seen.add(key)
+        seen.add(t)
         try:
             scheme = infer({}, t)
         except TypeCheckError:

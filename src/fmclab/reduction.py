@@ -21,7 +21,6 @@ from .syntax import (
     SeqVar,
     Term,
     alpha_canonical,
-    canonical_key,
     decompose,
     free_vars,
     fresh_name,
@@ -244,8 +243,8 @@ def normalize(t: Term, strategy: str = "leftmost-outermost", fuel: int = 10**6,
 @dataclass
 class ReductionGraph:
     root: Term
-    nodes: dict  # canonical key -> representative term
-    edges: dict  # canonical key -> list of (successor key, redex label)
+    nodes: dict  # term -> itself, as first reached; terms are keyed up to alpha
+    edges: dict  # term -> list of (successor term, redex label)
 
     def normal_forms(self) -> list:
         return [k for k, succ in self.edges.items() if not succ]
@@ -269,31 +268,28 @@ class ReductionGraph:
             memo[k] = best
             return best
 
-        return longest(canonical_key(self.root))
+        return longest(self.root)
 
 
 def reduction_graph(t: Term, node_bound: int = 10**4) -> ReductionGraph:
     """Exhaustive one-step beta expansion up to `node_bound` nodes."""
-    root_key = canonical_key(t)
-    nodes = {root_key: t}
+    nodes = {t: t}
     edges: dict = {}
-    frontier = [root_key]
+    frontier = [t]
     while frontier:
-        key = frontier.pop()
-        if key in edges:
+        term = frontier.pop()
+        if term in edges:
             continue
-        term = nodes[key]
         succ = []
         for r in beta_redexes(term):
             reduced = reduce_at(term, r)
-            rkey = canonical_key(reduced)
-            if rkey not in nodes:
-                if len(nodes) >= node_bound:
+            node = nodes.setdefault(reduced, reduced)
+            if node is reduced:
+                if len(nodes) > node_bound:
                     raise BoundExceeded(f"more than {node_bound} nodes")
-                nodes[rkey] = reduced
-                frontier.append(rkey)
-            succ.append((rkey, f"{'.'.join(map(str, r.position)) or 'root'}"))
-        edges[key] = succ
+                frontier.append(node)
+            succ.append((node, f"{'.'.join(map(str, r.position)) or 'root'}"))
+        edges[term] = succ
     return ReductionGraph(t, nodes, edges)
 
 
@@ -307,10 +303,9 @@ def to_dot(g: ReductionGraph) -> str:
 
     ids = {k: f"n{i}" for i, k in enumerate(g.nodes)}
     lines = ["digraph reduction {"]
-    root = canonical_key(g.root)
-    for k, term in g.nodes.items():
-        label = print_term(term).replace("\\", "\\\\").replace('"', '\\"')
-        shape = ', shape=box' if k == root else ""
+    for k in g.nodes:
+        label = print_term(k).replace("\\", "\\\\").replace('"', '\\"')
+        shape = ', shape=box' if k == g.root else ""
         lines.append(f'  {ids[k]} [label="{label}"{shape}];')
     for k, succ in g.edges.items():
         for s, label in succ:
@@ -351,25 +346,24 @@ def _swaps(t: Term) -> Iterator[Term]:
 
 
 def perm_class(t: Term, bound: int = 5000) -> dict:
-    """The permutation-equivalence class of t, keyed alpha-canonically."""
+    """The permutation-equivalence class of t, each member mapped to itself.
+
+    Binders are renamed apart first: `_swaps` never swaps two pops that
+    bind the same name, and swaps keep every binder's name.
+    """
     start = alpha_canonical(t)
-    seen = {canonical_key(start): start}
+    seen = {start: start}
     frontier = [start]
     while frontier:
         term = frontier.pop()
         for s in _swaps(term):
-            s = alpha_canonical(s)
-            k = canonical_key(s)
-            if k not in seen:
-                if len(seen) >= bound:
+            if seen.setdefault(s, s) is s:
+                if len(seen) > bound:
                     raise BoundExceeded(f"permutation class exceeds {bound} terms")
-                seen[k] = s
                 frontier.append(s)
     return seen
 
 
 def perm_eq(a: Term, b: Term, bound: int = 5000) -> bool:
     """Decide the congruence closure of the three swap clauses."""
-    if canonical_key(a) == canonical_key(b):
-        return True
-    return canonical_key(b) in perm_class(a, bound)
+    return a == b or b in perm_class(a, bound)

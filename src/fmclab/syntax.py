@@ -1,16 +1,16 @@
 """Core term syntax: locations, constants, terms, substitution, composition.
 
-Terms are immutable and considered modulo alpha-equivalence.  A term is a
-sequence of *actions* (variable use, push, pop, constant) ending in the nil
-term `*`; pushes carry an argument term and every action names a location,
-with the main location written as the empty annotation.
+Terms are immutable and considered modulo alpha-equivalence: `==` and
+`hash` compare de Bruijn keys.  A term is a sequence of *actions* (variable
+use, push, pop, constant) ending in the nil term `*`; pushes carry an
+argument term and every action names a location, with the main location
+written as the empty annotation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True, order=True)
@@ -47,20 +47,28 @@ class ConstSym:
 
 
 class Term:
-    """Base class; concrete terms are Nil, SeqVar, Push, Pop, Const."""
+    """Base class; concrete terms are Nil, SeqVar, Push, Pop, Const.
 
+    Equality is alpha-equivalence: two terms are equal when their de Bruijn
+    keys are.  A node keeps the hash of its key once it is first hashed.
+    """
+
+    __slots__ = ("_hash",)
 
     def __eq__(self, other) -> bool:
-        """Structural equality including binder names (not alpha)."""
-        if type(self) is not type(other):
+        if self is other:
+            return True
+        if not isinstance(other, Term):
             return NotImplemented
-        return self._key() == other._key()
+        return _debruijn(self, {}, 0) == _debruijn(other, {}, 0)
 
     def __hash__(self) -> int:
-        return hash(self._key())
-
-    def _key(self):
-        raise NotImplementedError
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(_debruijn(self, {}, 0))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         from .parser import print_term
@@ -70,9 +78,7 @@ class Term:
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Nil(Term):
-
-    def _key(self):
-        return ("nil",)
+    """The empty instruction `*`."""
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -81,9 +87,6 @@ class SeqVar(Term):
 
     var: str
     cont: Term
-
-    def _key(self):
-        return ("var", self.var, self.cont)
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -94,9 +97,6 @@ class Push(Term):
     loc: Location
     cont: Term
 
-    def _key(self):
-        return ("push", self.arg, self.loc, self.cont)
-
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Pop(Term):
@@ -105,10 +105,7 @@ class Pop(Term):
     loc: Location
     var: str
     cont: Term
-    annot: Optional["object"] = None  # optional SimpleType, ignored by alpha_eq
-
-    def _key(self):
-        return ("pop", self.loc, self.var, self.cont)
+    annot: Optional["object"] = None  # optional SimpleType, ignored by ==
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -117,9 +114,6 @@ class Const(Term):
 
     sym: ConstSym
     cont: Term
-
-    def _key(self):
-        return ("const", self.sym, self.cont)
 
 
 NIL = Nil()
@@ -132,6 +126,45 @@ def var(name: str) -> Term:
 
 # The traversals below walk the continuation spine in a loop, so that only
 # `Push.arg` nests and long action sequences stay off the Python stack.
+
+def _debruijn(t: Term, env: dict[str, int], depth: int) -> tuple:
+    """The key of t under `depth` enclosing pops, `env` mapping each bound
+    name to the depth of its binder.
+
+    In preorder: a bound variable is its de Bruijn index (int), a free one
+    its name (str), a constant its symbol, a pop its location, and a push
+    the key of its argument (tuple) followed by its location.  Binder names
+    and annotations are left out.
+    """
+    key = []
+    shadowed = []  # (name, outer binder depth or None), restored on return
+    while True:
+        kind = type(t)
+        if kind is Nil:
+            break
+        if kind is SeqVar:
+            level = env.get(t.var)
+            key.append(t.var if level is None else depth - 1 - level)
+        elif kind is Push:
+            key.append(_debruijn(t.arg, env, depth))
+            key.append(t.loc)
+        elif kind is Pop:
+            shadowed.append((t.var, env.get(t.var)))
+            env[t.var] = depth
+            depth += 1
+            key.append(t.loc)
+        elif kind is Const:
+            key.append(t.sym)
+        else:
+            raise TypeError(t)
+        t = t.cont
+    for name, level in reversed(shadowed):
+        if level is None:
+            del env[name]
+        else:
+            env[name] = level
+    return tuple(key)
+
 
 def size(t: Term) -> int:
     n = 1
@@ -179,36 +212,16 @@ def locations_of(t: Term) -> frozenset[Location]:
         t = t.cont
 
 
-def constants_of(t: Term) -> frozenset[ConstSym]:
-    syms: set[ConstSym] = set()
-    while True:
-        kind = type(t)
-        if kind is Nil:
-            return frozenset(syms)
-        if kind is Const:
-            syms.add(t.sym)
-        elif kind is Push:
-            syms.update(constants_of(t.arg))
-        elif kind is not SeqVar and kind is not Pop:
-            raise TypeError(t)
-        t = t.cont
-
-
-_fresh_counter = itertools.count()
-
-
 def fresh_name(base: str, avoid: frozenset[str] | set[str] = frozenset()) -> str:
-    """A name not in `avoid`, derived from `base` by priming."""
+    """The first of x', x'0, x'1, ... not in `avoid`, x being `base` without
+    its primes and digits."""
     stem = base.rstrip("'0123456789") or "x"
     candidate = stem + "'"
+    n = 0
     while candidate in avoid:
-        candidate = f"{stem}'{next(_fresh_counter)}"
+        candidate = f"{stem}'{n}"
+        n += 1
     return candidate
-
-
-def rename_binder(t: Pop, fresh: str) -> Pop:
-    """Alpha-rename the binder of a pop action."""
-    return Pop(t.loc, fresh, substitute(var(fresh), t.var, t.cont), t.annot)
 
 
 def substitute(p: Term, x: str, m: Term) -> Term:
@@ -262,29 +275,8 @@ def compose(n: Term, m: Term) -> Term:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Equality modulo consistent renaming of pop binders.
-
-    Binder annotations are checking hints and do not affect identity.
-    """
-
-    def go(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
-        match a, b:
-            case Nil(), Nil():
-                return True
-            case SeqVar(x, ca), SeqVar(y, cb):
-                return env_a.get(x, x) == env_b.get(y, y) and go(ca, cb, env_a, env_b, depth)
-            case Push(pa, la, ca), Push(pb, lb, cb):
-                return la == lb and go(pa, pb, env_a, env_b, depth) and go(ca, cb, env_a, env_b, depth)
-            case Pop(la, x, ca, _), Pop(lb, y, cb, _):
-                if la != lb:
-                    return False
-                return go(ca, cb, {**env_a, x: depth}, {**env_b, y: depth}, depth + 1)
-            case Const(sa, ca), Const(sb, cb):
-                return sa == sb and go(ca, cb, env_a, env_b, depth)
-            case _:
-                return False
-
-    return go(a, b, {}, {}, 0)
+    """Equality modulo renaming of pop binders; the same as `a == b`."""
+    return a == b
 
 
 def alpha_canonical(t: Term) -> Term:
@@ -309,23 +301,8 @@ def alpha_canonical(t: Term) -> Term:
 
 
 def canonical_key(t: Term) -> Term:
-    """A hashable key identifying t up to alpha (annotations stripped)."""
-    return strip_annotations(alpha_canonical(t))
-
-
-def strip_annotations(t: Term) -> Term:
-    match t:
-        case Nil():
-            return t
-        case SeqVar(x, cont):
-            return SeqVar(x, strip_annotations(cont))
-        case Push(arg, loc, cont):
-            return Push(strip_annotations(arg), loc, strip_annotations(cont))
-        case Pop(loc, x, cont, _):
-            return Pop(loc, x, strip_annotations(cont))
-        case Const(sym, cont):
-            return Const(sym, strip_annotations(cont))
-    raise TypeError(t)
+    """A hashable key identifying t up to alpha: t itself."""
+    return t
 
 
 # -- head contexts -----------------------------------------------------------
@@ -358,10 +335,6 @@ class HeadContext:
 
 def bound_vars(h: HeadContext) -> frozenset[str]:
     return frozenset(f.var for f in h.frames if isinstance(f, PopFrame))
-
-
-def locations_of_context(h: HeadContext) -> frozenset[Location]:
-    return frozenset(f.loc for f in h.frames)
 
 
 def plug(h: HeadContext, m: Term) -> Term:
@@ -416,14 +389,3 @@ def _trivial_sequencing(t: Term) -> bool:
         case Pop(_, _, cont):
             return _trivial_sequencing(cont)
     raise TypeError(t)
-
-
-def spine(t: Term) -> Iterator[Term]:
-    """The nodes along the continuation spine, including the final one."""
-    while True:
-        yield t
-        match t:
-            case SeqVar(_, cont) | Push(_, _, cont) | Pop(_, _, cont) | Const(_, cont):
-                t = cont
-            case _:
-                return

@@ -88,10 +88,6 @@ def mem(entries: dict[Location, Vector]) -> Mem:
     return Mem(tuple(sorted(kept.items(), key=lambda kv: kv[0].name)))
 
 
-def singleton(loc: Location, *items: SimpleType) -> Mem:
-    return mem({loc: Vector(tuple(items))})
-
-
 def arrow(inp: dict[Location, Vector] | Mem, out: dict[Location, Vector] | Mem) -> Arrow:
     i = inp if isinstance(inp, Mem) else mem(inp)
     o = out if isinstance(out, Mem) else mem(out)
@@ -973,7 +969,10 @@ def _ground_ty(st: InferState, obj, zcache: Optional[dict] = None,
         fcache[key] = out
         return out
 
-    return fill(z)
+    try:
+        return fill(z)
+    finally:
+        del fill  # fill refers to itself: break the cycle so its types are freed now
 
 
 def _ground_derivation(st: InferState, d: Derivation,

@@ -14,7 +14,7 @@ from fmclab.machine import (
     trace_lines,
 )
 from fmclab.measure import least_input_memory
-from fmclab.parser import parse_memory, parse_term, print_term
+from fmclab.parser import format_memory, parse_memory, parse_term, print_term
 from fmclab.reduction import normalize
 from fmclab.syntax import (
     MAIN,
@@ -110,6 +110,7 @@ def test_step_deterministic():
     assert isinstance(first, Stepped) and isinstance(second, Stepped)
     assert first.state.code == second.state.code
     assert first.state.memory == second.state.memory
+    assert rendering([first.state]) == rendering([second.state])
 
 
 def test_frame_property():
@@ -159,6 +160,17 @@ def test_machine_agrees_with_reduction():
 # Each pop substitutes the popped term into the rest of the code.  This is
 # the machine of the paper taken literally; the environment machine must
 # agree with it on every run, down to binder names in the states it reports.
+# `==` on terms is alpha-equivalence, so the names are compared as printed.
+
+def rendering(states, result=None):
+    """The printed memory and code of each state, then of the result's
+    memory and state."""
+    printed = [(format_memory(s.memory), print_term(s.code)) for s in states]
+    if result is not None:
+        printed.append(format_memory(result.memory))
+        printed += rendering([result.state] if result.state else [])
+    return printed
+
 
 def reference_step(memory, code, delta=DEFAULT_REGISTRY):
     """(None, next memory, next code), or (stop reason, None, None); 'done' at `*`."""
@@ -224,8 +236,12 @@ def test_agrees_with_substitution_machine():
     outcomes = set()
     for memory, t in cases:
         states, expected = reference_trace(memory, t, fuel=2000)
-        assert run(memory, t, fuel=2000) == expected, print_term(t)
-        assert trace(memory, t, fuel=2000) == (states, expected), print_term(t)
+        ran = run(memory, t, fuel=2000)
+        traced_states, traced = trace(memory, t, fuel=2000)
+        assert ran == expected, print_term(t)
+        assert (traced_states, traced) == (states, expected), print_term(t)
+        assert rendering([], ran) == rendering([], expected), print_term(t)
+        assert rendering(traced_states, traced) == rendering(states, expected), print_term(t)
         outcomes.add(expected.status)
     assert outcomes == {"done", "stuck"}
 
@@ -236,10 +252,16 @@ def test_fuel_cut_agrees_with_substitution_machine():
         memory = parse_memory("rnd = 9 7 3 ; c = 5")
         for fuel in range(12):
             states, expected = reference_trace(memory, t, fuel)
-            assert run(memory, t, fuel=fuel) == expected, (print_term(t), fuel)
-            assert trace(memory, t, fuel=fuel)[0] == states
+            ran = run(memory, t, fuel=fuel)
+            traced_states = trace(memory, t, fuel=fuel)[0]
+            assert ran == expected, (print_term(t), fuel)
+            assert traced_states == states
+            assert rendering([], ran) == rendering([], expected), (print_term(t), fuel)
+            assert rendering(traced_states) == rendering(states)
             if fuel:
-                assert step(states[-2]) == Stepped(states[-1])
+                stepped = step(states[-2])
+                assert stepped == Stepped(states[-1])
+                assert rendering([stepped.state]) == rendering(states[-1:])
 
 
 def test_open_values_from_memory_read_back_up_to_alpha():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from fmclab.reduction import (
     confluent_on,
     eta_redexes,
     normalize,
+    perm_class,
     perm_eq,
     positions,
     reduce_at,
@@ -29,7 +31,6 @@ from fmclab.syntax import (
     alpha_eq,
     bound_vars,
     free_vars,
-    locations_of_context,
     plug,
     size,
     substitute,
@@ -226,6 +227,21 @@ def test_dot_export():
     assert "->" in dot and "[1].<x>.[x]" in dot
 
 
+def test_graph_nodes_do_not_depend_on_binder_names():
+    checked = 0
+    for t, _ in random_typed_terms(seed=37, count=60, max_size=14):
+        renamed = p(re.sub(r"\bb(\d+)", r"r\1", print_term(t)))
+        if print_term(renamed) == print_term(t):
+            continue  # no binders
+        assert renamed == t
+        g, h = reduction_graph(t), reduction_graph(renamed)
+        assert g.nodes.keys() == h.nodes.keys(), print_term(t)
+        assert {k: len(s) for k, s in g.edges.items()} == {k: len(s) for k, s in h.edges.items()}
+        assert g.depth() == h.depth()
+        checked += 1
+    assert checked >= 40
+
+
 def test_confluence_on_typed_corpus():
     for t, scheme in random_typed_terms(seed=31, count=120, max_size=16):
         g = reduction_graph(t, node_bound=10**4)
@@ -253,6 +269,13 @@ def test_perm_same_location_blocked():
 def test_perm_capture_blocked():
     # moving the pop over a push that mentions its variable is not allowed
     assert not perm_eq(p("a<x>.[x]b.*"), p("[x]b.a<x>.*"))
+
+
+def test_perm_class_renames_binders_apart():
+    # swapping the two pops is fine once they bind different names
+    members = perm_class(p("<x>.a<x>.[x]"))
+    assert len(members) == 2
+    assert p("a<y>.<x>.[y]") in members
 
 
 def test_beta_factorization():

@@ -3,21 +3,24 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from fmclab.gen import random_term
-from fmclab.parser import parse_term
+from fmclab.parser import parse_term, print_term
 from fmclab.syntax import (
     MAIN,
     NIL,
+    Const,
     HeadContext,
     Location,
     Pop,
     PopFrame,
     Push,
     PushFrame,
+    Term,
     alpha_eq,
     bound_vars,
     compose,
     decompose,
     free_vars,
+    fresh_name,
     fragment_of,
     locations_of,
     plug,
@@ -65,6 +68,14 @@ def test_substitute_avoids_capture():
     assert alpha_eq(result, Pop(MAIN, "w", Push(var("y"), MAIN, NIL)))
     assert not alpha_eq(result, p("<y>.[y]"))
     assert free_vars(result) == {"y"}
+
+
+def test_substitute_renames_the_same_way_every_time():
+    # the renamed binder does not depend on the renamings made before
+    first = print_term(substitute(p("[y].[y']"), "x", p("<y>.[x]")))
+    assert first == "<y'0>.[[y].[y']]"
+    assert print_term(substitute(p("[y].[y']"), "x", p("<y>.[x]"))) == first
+    assert fresh_name("y", {"y'", "y'0"}) == fresh_name("y2", {"y'", "y'0"}) == "y'1"
 
 
 def test_substitute_shadowed_binder():
@@ -123,20 +134,50 @@ def test_substitution_free_vars(m, n):
 
 def test_alpha_eq_rename():
     assert alpha_eq(p("<x>.[x]"), p("<y>.[y]"))
+    assert p("<x>.[x]") == p("<y>.[y]")
+    assert hash(p("<x>.[x]")) == hash(p("<y>.[y]"))
+    assert p("<x:Z>.[x]") == p("<x>.[x]")  # annotations are not part of a term's identity
 
 
 def test_alpha_eq_distinguishes_free():
     assert not alpha_eq(p("<x>.[x]"), p("<x>.[z]"))
+    assert p("<x>.[z]") != p("<x>.[x]")
 
 
 def test_alpha_eq_nested():
     assert alpha_eq(p("[<x>.x].<f>.f"), p("[<a>.a].<b>.b"))
+    assert p("[<x>.x].<f>.f") == p("[<a>.a].<b>.b")
+    assert p("[x].<x>.[x]") == p("[x].<y>.[y]")  # a push argument sees the binders around it
+    assert p("<x>.<x>.[x]") != p("<x>.<y>.[x]")  # the inner binder shadows the outer
+    assert p("<x>.<x>.[x]") == p("<y>.<x>.[x]")
 
 
 @settings(max_examples=100, deadline=None)
 @given(terms())
 def test_alpha_eq_reflexive(t):
     assert alpha_eq(t, t)
+
+
+def test_equality_of_long_terms_stays_off_the_python_stack():
+    n = 10_000
+    chain = p("[5]." + ".".join(f"<x{i}>.[x{i}]" for i in range(n)))
+    renamed = p("[5]." + ".".join(f"<y{i}>.[y{i}]" for i in range(n)))
+    assert chain == renamed and hash(chain) == hash(renamed)
+    assert chain != Push(p("5"), MAIN, renamed)
+    assert _arith_chain(50_000) == _arith_chain(50_000)  # 99,999 actions
+    assert hash(_arith_chain(50_000)) == hash(_arith_chain(50_000))
+
+
+def _arith_chain(count: int) -> Term:
+    """`[0].[1]. ... .+.+`: `count` pushes of digits, then count - 1 additions."""
+    plus = p("+").sym
+    digits = [p(str(d)) for d in range(10)]
+    t = NIL
+    for _ in range(count - 1):
+        t = Const(plus, t)
+    for i in reversed(range(count)):
+        t = Push(digits[i % 10], MAIN, t)
+    return t
 
 
 # -- sizes, locations, fragments ----------------------------------------------------
@@ -187,5 +228,6 @@ def test_plug_decompose_roundtrip(t, depth):
     d = len(spine)
     h, rest = decompose(t, d)
     assert plug(h, rest) == t
+    assert print_term(plug(h, rest)) == print_term(t)  # binder names too
     h2, rest2 = decompose(plug(h, rest), d)
     assert (h2, rest2) == (h, rest)
