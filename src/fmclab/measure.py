@@ -15,7 +15,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .syntax import NIL, Location, Pop, Push, Term
-from .typesys import Arrow, Base, Derivation, Mem, SimpleType, TVar, Vector
+from .typesys import (
+    DEFAULT_SIGNATURE,
+    Arrow,
+    Base,
+    Derivation,
+    Mem,
+    SimpleType,
+    TVar,
+    Vector,
+    infer_shape_derivation,
+)
 
 MemVal = dict[Location, tuple["SnValue", ...]]
 
@@ -236,54 +246,10 @@ def lean_run_length_derivation(t, sig=None):
 
     Only the root type is grounded in full; inner judgment types are
     placeholders and variable types keep just their ground stack shapes,
-    which is all the run-length interpretation reads.  Runs inference in
-    the absorbing mode, whose derivations are valid by construction; the
-    few terms only the optimistic mode accepts take the fully validated
-    (slower) path instead.
+    which is all the run-length interpretation reads (see
+    `typesys.infer_shape_derivation`).
     """
-    from . import typesys as T
-
-    try:
-        return _lean_absorb(t, sig or T.DEFAULT_SIGNATURE)
-    except T.TypeCheckError:
-        _, deriv = T.infer_with_derivation({}, t, sig or T.DEFAULT_SIGNATURE)
-        return deriv
-
-
-def _lean_absorb(t, sig):
-    from . import typesys as T
-
-    st, inp, out, deriv = T._infer({}, t, sig, fresh_tails=False)
-    zcache: dict = {}
-    root_ty = Arrow(T._ground_ty(st, inp, zcache, {}), T._ground_ty(st, out, zcache, {}))
-    placeholder = Arrow(T.EMPTY_MEM, T.EMPTY_MEM)
-
-    def shape(ty) -> Arrow:
-        ty = st.resolve_type(ty)
-        if isinstance(ty, T.TVar):
-            return placeholder
-        if not isinstance(ty, Arrow):
-            raise T.TypeCheckError("constant-free terms only")
-        def widths(m: Mem) -> Mem:
-            entries = {}
-            for loc, vec in m.entries:
-                v = st.resolve_vector(vec)
-                if v.items:
-                    entries[loc] = Vector((placeholder,) * len(v.items))
-            return T.mem(entries)
-        return Arrow(widths(ty.input), widths(ty.output))
-
-    def go(d: Derivation, root: bool) -> Derivation:
-        ty = root_ty if root else placeholder
-        if d.rule == "arg-var":
-            return Derivation("seq-var", d.term, placeholder,
-                              (Derivation("nil", d.term, placeholder),),
-                              var_type=shape(d.ty))
-        var_type = shape(d.var_type) if d.var_type is not None else None
-        return Derivation(d.rule, d.term, ty,
-                          tuple(go(c, False) for c in d.children), var_type=var_type)
-
-    return go(deriv, True)
+    return infer_shape_derivation(t, sig or DEFAULT_SIGNATURE)
 
 
 # -- sampled comparison helpers ----------------------------------------------------

@@ -239,12 +239,16 @@ def _parse_type(cur: _Cursor) -> typesys.SimpleType:
 
 
 def _parse_memvec(cur: _Cursor) -> tuple[Mem, list]:
-    """A sequence of `loc(...)` groups and bare main-stack atoms."""
+    """A sequence of `loc(...)` groups and bare main-stack atoms.
+
+    A name is a location only when `(` follows it directly: `Z (Z > Z)` is
+    two main-stack atoms, as `print_type` writes them.
+    """
     entries: dict[Location, list] = {}
     bare: list = []
     while True:
-        tok = cur.peek()
-        if tok.kind == "ident" and cur.peek(1).kind == "sym" and cur.peek(1).text == "(":
+        tok, after = cur.peek(), cur.peek(1)
+        if tok.kind == "ident" and after.text == "(" and after.span.start == tok.span.end:
             loc = _resolve_loc(cur.next().text)
             cur.expect("sym", "(")
             vec = []

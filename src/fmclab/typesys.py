@@ -94,21 +94,6 @@ def arrow(inp: dict[Location, Vector] | Mem, out: dict[Location, Vector] | Mem) 
     return Arrow(i, o)
 
 
-def is_ground(ty: SimpleType | Vector | Mem) -> bool:
-    match ty:
-        case Base(_):
-            return True
-        case TVar(_):
-            return False
-        case Arrow(i, o):
-            return is_ground(i) and is_ground(o)
-        case Vector(items, row):
-            return row is None and all(is_ground(t) for t in items)
-        case Mem(entries):
-            return all(is_ground(v) for _, v in entries)
-    raise TypeError(ty)
-
-
 def concat_mem(below: Mem, above: Mem) -> Mem:
     """Pointwise concatenation of ground memory types; `above` is on top."""
     out = dict(below.entries)
@@ -224,9 +209,6 @@ def _show(x) -> str:
 # -- signatures ----------------------------------------------------------------
 
 _INT_RE = re.compile(r"-?[0-9]+")
-
-POLY = object()  # marker payload for the conditional's schematic signature
-
 
 @dataclass
 class Signature:
@@ -367,7 +349,6 @@ class InferState:
                 return Mem(out)
         raise TypeError(ty)
 
-    # occurs checks walk the zonked structure
     def _occurs(self, kind: str, ident: int, obj, _seen: Optional[set] = None) -> bool:
         seen = _seen if _seen is not None else set()
         match obj:
@@ -400,67 +381,65 @@ class InferState:
                 return any(self._occurs(kind, ident, v, seen) for _, v in entries)
         raise TypeError(obj)
 
-    def unify_type(self, a: SimpleType, b: SimpleType, path=()):
+    def unify_type(self, a: SimpleType, b: SimpleType):
         a, b = self.resolve_type(a), self.resolve_type(b)
         match a, b:
             case TVar(i), TVar(j) if i == j:
                 return
             case TVar(i), _:
                 if self._occurs("t", i, b):
-                    raise OccursCheck(f"occurs check: 't{i} in {_show(self.zonk(b))}", path)
+                    raise OccursCheck(f"occurs check: 't{i} in {_show(self.zonk(b))}")
                 self.tv[i] = b
             case _, TVar(_):
-                self.unify_type(b, a, path)
+                self.unify_type(b, a)
             case Base(x), Base(y):
                 if x != y:
-                    raise UnificationClash(f"cannot unify {x} with {y}", path)
+                    raise UnificationClash(f"cannot unify {x} with {y}")
             case Arrow(i1, o1), Arrow(i2, o2):
-                self.unify_mem(i1, i2, path)
-                self.unify_mem(o1, o2, path)
+                self.unify_mem(i1, i2)
+                self.unify_mem(o1, o2)
             case _:
-                raise UnificationClash(
-                    f"cannot unify {_show(self.zonk(a))} with {_show(self.zonk(b))}", path
-                )
+                raise UnificationClash(f"cannot unify {_show(self.zonk(a))} with {_show(self.zonk(b))}")
 
-    def unify_vector(self, a: Vector, b: Vector, path=()):
+    def unify_vector(self, a: Vector, b: Vector):
         # unifying item types can bind rows in the remainders, so re-resolve
         # on every round
         while True:
             a, b = self.resolve_vector(a), self.resolve_vector(b)
             if a.items and b.items:
-                self.unify_type(a.items[-1], b.items[-1], path)
+                self.unify_type(a.items[-1], b.items[-1])
                 a = Vector(a.items[:-1], a.row)
                 b = Vector(b.items[:-1], b.row)
                 continue
             if a.items:
-                self._bind_row(b, a.row, a.items, path)
+                self._bind_row(b, a.row, a.items)
                 return
             if b.items:
-                self._bind_row(a, b.row, b.items, path)
+                self._bind_row(a, b.row, b.items)
                 return
             if a.row == b.row:
                 return
             if a.row is None:
-                self._bind_row(b, None, (), path)
+                self._bind_row(b, None, ())
             elif b.row is None:
-                self._bind_row(a, None, (), path)
+                self._bind_row(a, None, ())
             else:
                 self.rv[a.row] = Vector((), b.row)
             return
 
-    def _bind_row(self, short: Vector, below_row: Optional[int], extra, path):
+    def _bind_row(self, short: Vector, below_row: Optional[int], extra):
         """Bind short.row to the leftover part (below_row ++ extra) of the other side."""
         if short.row is None:
-            raise UnificationClash("stack vectors differ in length", path)
+            raise UnificationClash("stack vectors differ in length")
         target = Vector(tuple(extra), below_row)
         if self._occurs("r", short.row, target):
-            raise OccursCheck(f"occurs check on stack tail ~r{short.row}", path)
+            raise OccursCheck(f"occurs check on stack tail ~r{short.row}")
         self.rv[short.row] = target
 
-    def unify_mem(self, a: Mem, b: Mem, path=()):
+    def unify_mem(self, a: Mem, b: Mem):
         locs = {loc for loc, _ in a.entries} | {loc for loc, _ in b.entries}
         for loc in sorted(locs, key=lambda l: l.name):
-            self.unify_vector(a.get(loc), b.get(loc), path)
+            self.unify_vector(a.get(loc), b.get(loc))
 
 
 def unify(a, b) -> InferState:
@@ -492,9 +471,33 @@ class Derivation:
 Context = dict[str, SimpleType]
 
 
+def _build_spine(nodes: list, last: Derivation) -> Derivation:
+    """Nest the derivations of a spine bottom-up.
+
+    Each of `nodes` is (rule, term, input type, extra children, keyword
+    fields); its last child is the derivation of the rest of the spine.
+    Every judgment on a spine ends at the output type of `last`.
+    """
+    d, out = last, last.ty.output
+    for rule, term, inp, extra, fields in reversed(nodes):
+        d = Derivation(rule, term, Arrow(inp, out), extra + (d,), **fields)
+    return d
+
+
+def _frame(inp: Mem, ty: Arrow) -> Mem:
+    """The frame rule on ground types: ty's inputs on top of inp become its outputs."""
+    below = strip_suffix(inp, ty.input)
+    if below is None:
+        raise TypeMismatch(ty.input, inp)
+    return concat_mem(below, ty.output)
+
+
 def check(ctx: Context, t: Term, ty: SimpleType, sig: Signature = DEFAULT_SIGNATURE,
           path: tuple[int, ...] = ()) -> Derivation:
-    """Check t against a ground type, producing the full derivation."""
+    """Check t against a ground type, producing the full derivation.
+
+    The spine is walked in a loop; only push arguments nest.
+    """
     if isinstance(ty, Base):
         match t:
             case SeqVar(x, Nil()):
@@ -513,49 +516,50 @@ def check(ctx: Context, t: Term, ty: SimpleType, sig: Signature = DEFAULT_SIGNAT
                 raise TypeMismatch(ty, t, path)
     if not isinstance(ty, Arrow):
         raise TypeCheckError("expected type must be ground", path)
+    ctx = dict(ctx)
     inp, out = ty.input, ty.output
-    match t:
-        case Nil():
-            if inp != out:
-                raise TypeMismatch(Arrow(inp, inp), ty, path)
-            return Derivation("nil", t, ty)
-        case Pop(loc, x, cont, annot):
-            vec = inp.get(loc)
-            if not vec.items:
-                raise ArityMismatch(f"pop on {loc.name} needs a {loc.name}-input", path)
-            r = vec.items[-1]
-            if annot is not None and annot != r:
-                raise TypeMismatch(r, annot, path)
-            rest = inp.set(loc, Vector(vec.items[:-1]))
-            child = check({**ctx, x: r}, cont, Arrow(rest, out), sig, path + (0,))
-            return Derivation("pop", t, ty, (child,), binder_type=r)
-        case Push(arg, loc, cont):
-            r = _argument_type(ctx, arg, sig, path + (0,))
-            arg_deriv = check(ctx, arg, r, sig, path + (0,))
-            grown = inp.set(loc, Vector(inp.get(loc).items + (r,)))
-            child = check(ctx, cont, Arrow(grown, out), sig, path + (1,))
-            return Derivation("push", t, ty, (arg_deriv, child))
-        case SeqVar(x, cont):
-            found = ctx.get(x)
-            if found is None:
-                raise UnboundVariable(x, path)
-            if not isinstance(found, Arrow):
-                raise TypeMismatch("an arrow type", found, path)
-            below = strip_suffix(inp, found.input)
-            if below is None:
-                raise TypeMismatch(found.input, inp, path)
-            child = check(ctx, cont, Arrow(concat_mem(below, found.output), out), sig, path + (0,))
-            return Derivation("seq-var", t, ty, (child,), var_type=found)
-        case Const(sym, cont):
-            ins, outs = _const_instance(sym, inp, sig, path)
-            below = strip_suffix(inp, mem({MAIN: Vector(ins)}))
-            if below is None:
-                raise TypeMismatch(Vector(ins), inp.get(MAIN), path)
-            grown = concat_mem(below, mem({MAIN: Vector(outs)}))
-            child = check(ctx, cont, Arrow(grown, out), sig, path + (0,))
-            return Derivation("const", t, ty, (child,),
-                              var_type=arrow({MAIN: Vector(ins)}, {MAIN: Vector(outs)}))
-    raise TypeError(t)
+    nodes: list = []
+    try:
+        while not isinstance(t, Nil):
+            entry = inp
+            match t:
+                case Pop(loc, x, cont, annot):
+                    vec = inp.get(loc)
+                    if not vec.items:
+                        raise ArityMismatch(f"pop on {loc.name} needs a {loc.name}-input")
+                    r = vec.items[-1]
+                    if annot is not None and annot != r:
+                        raise TypeMismatch(r, annot)
+                    inp = inp.set(loc, Vector(vec.items[:-1]))
+                    ctx[x] = r
+                    nodes.append(("pop", t, entry, (), {"binder_type": r}))
+                case Push(arg, loc, cont):
+                    r = _argument_type(ctx, arg, sig, (0,))
+                    arg_deriv = check(ctx, arg, r, sig, (0,))
+                    inp = inp.set(loc, Vector(inp.get(loc).items + (r,)))
+                    nodes.append(("push", t, entry, (arg_deriv,), {}))
+                case SeqVar(x, cont):
+                    found = ctx.get(x)
+                    if found is None:
+                        raise UnboundVariable(x)
+                    if not isinstance(found, Arrow):
+                        raise TypeMismatch("an arrow type", found)
+                    inp = _frame(inp, found)
+                    nodes.append(("seq-var", t, entry, (), {"var_type": found}))
+                case Const(sym, cont):
+                    ins, outs = _const_instance(sym, inp, sig, ())
+                    found = arrow({MAIN: Vector(ins)}, {MAIN: Vector(outs)})
+                    inp = _frame(inp, found)
+                    nodes.append(("const", t, entry, (), {"var_type": found}))
+                case _:
+                    raise TypeError(t)
+            t = cont
+        if inp != out:
+            raise TypeMismatch(Arrow(inp, inp), Arrow(inp, out))
+    except TypeCheckError as exc:  # a node's spine child follows its extra children
+        exc.path = path + tuple(len(extra) for _, _, _, extra, _ in nodes) + exc.path
+        raise
+    return _build_spine(nodes, Derivation("nil", t, Arrow(out, out)))
 
 
 def _const_instance(sym: ConstSym, inp: Mem, sig: Signature, path):
@@ -617,44 +621,23 @@ class Scheme:
     def metavars(self) -> tuple[set[int], set[int]]:
         tvs: set[int] = set()
         rows: set[int] = set()
-
-        def go(x):
-            match x:
-                case Base(_):
-                    pass
+        todo: list = [self.type_]
+        while todo:
+            match todo.pop():
                 case TVar(i):
                     tvs.add(i)
                 case Arrow(i, o):
-                    go(i)
-                    go(o)
+                    todo += (i, o)
                 case Vector(items, row):
                     if row is not None:
                         rows.add(row)
-                    for t in items:
-                        go(t)
+                    todo += items
                 case Mem(entries):
-                    for _, v in entries:
-                        go(v)
-
-        go(self.type_)
+                    todo += (v for _, v in entries)
         return tvs, rows
 
     def instantiate(self, tv_map: dict[int, SimpleType], row_map: dict[int, tuple[SimpleType, ...]]) -> Arrow:
-        def go(x):
-            match x:
-                case Base(_):
-                    return x
-                case TVar(i):
-                    return tv_map.get(i, Arrow(EMPTY_MEM, EMPTY_MEM))
-                case Arrow(i, o):
-                    return Arrow(go(i), go(o))
-                case Vector(items, row):
-                    below = row_map.get(row, ()) if row is not None else ()
-                    return Vector(tuple(go(t) for t in below) + tuple(go(t) for t in items))
-                case Mem(entries):
-                    return mem({loc: go(v) for loc, v in entries})
-
-        return go(self.type_)
+        return _instantiate(self.type_, tv_map, row_map)
 
     def instantiate_minimal(self) -> Arrow:
         return self.instantiate({}, {})
@@ -663,33 +646,41 @@ class Scheme:
         return pretty_type(self.type_)
 
 
+def _instantiate(x, tv_map: dict[int, SimpleType], row_map: dict[int, tuple[SimpleType, ...]]):
+    match x:
+        case Base(_):
+            return x
+        case TVar(i):
+            return tv_map.get(i, Arrow(EMPTY_MEM, EMPTY_MEM))
+        case Arrow(i, o):
+            return Arrow(_instantiate(i, tv_map, row_map), _instantiate(o, tv_map, row_map))
+        case Vector(items, row):
+            below = row_map.get(row, ()) if row is not None else ()
+            return Vector(tuple(_instantiate(t, tv_map, row_map) for t in below + items))
+        case Mem(entries):
+            return mem({loc: _instantiate(v, tv_map, row_map) for loc, v in entries})
+    raise TypeError(x)
+
+
 def infer(ctx: Context, t: Term, sig: Signature = DEFAULT_SIGNATURE) -> Scheme:
-    """Principal-ish scheme via a symbolic forward run of the term."""
+    """A type scheme via a symbolic forward run of the term."""
     return infer_with_derivation(ctx, t, sig)[0]
 
 
 def infer_with_derivation(ctx: Context, t: Term, sig: Signature = DEFAULT_SIGNATURE
                           ) -> tuple[Scheme, Derivation]:
     """Inference yielding both the scheme and the minimally instantiated
-    ground derivation, which always validates.
+    ground derivation.
 
-    The optimistic mode freshens private pass-through tails at variable
-    uses; if its derivation fails validation (over-eager generalization on
-    unusual sharing), inference reruns in the conservative absorbing mode.
+    Every choice inference makes is a binding in its store, so the grounded
+    derivation is valid by construction; it is validated all the same.
     """
-    for fresh_tails in (True, False):
-        st, inp, out, deriv = _infer(ctx, t, sig, fresh_tails)
-        zcache: dict = {}
-        scheme = Scheme(Arrow(st.zonk(inp, zcache), st.zonk(out, zcache)))
-        ground = _ground_derivation(st, deriv, zcache, {})
-        try:
-            validate_derivation(ground, dict(ctx), sig)
-        except TypeCheckError:
-            if fresh_tails:
-                continue
-            raise
-        return scheme, ground
-    raise AssertionError("unreachable")
+    st, inp, out, deriv = _infer(ctx, t, sig)
+    zcache: dict = {}
+    scheme = Scheme(Arrow(st.zonk(inp, zcache), st.zonk(out, zcache)))
+    ground = _ground_derivation(st, deriv, zcache)
+    validate_derivation(ground, ctx, sig)
+    return scheme, ground
 
 
 def check_infer(ctx: Context, t: Term, ty: Arrow, sig: Signature = DEFAULT_SIGNATURE) -> Derivation:
@@ -699,81 +690,69 @@ def check_infer(ctx: Context, t: Term, ty: Arrow, sig: Signature = DEFAULT_SIGNA
     types retroactively.  The produced derivation is validated, so a
     successful result is always a genuine typing derivation.
     """
-    last: Optional[TypeCheckError] = None
-    for fresh_tails in (True, False):
-        st, inp, out, deriv = _infer(ctx, t, sig, fresh_tails)
-        try:
-            st.unify_mem(st.resolve_mem(inp), ty.input)
-            st.unify_mem(st.resolve_mem(out), ty.output)
-            ground = _ground_derivation(st, deriv)
-            validate_derivation(ground, dict(ctx), sig)
-            return ground
-        except TypeCheckError as exc:
-            last = exc
-    assert last is not None
-    raise last
+    st, inp, out, deriv = _infer(ctx, t, sig)
+    st.unify_mem(st.resolve_mem(inp), ty.input)
+    st.unify_mem(st.resolve_mem(out), ty.output)
+    ground = _ground_derivation(st, deriv)
+    validate_derivation(ground, ctx, sig)
+    return ground
 
 
-def _infer(ctx: Context, t: Term, sig: Signature, fresh_tails: bool = True):
+def infer_shape_derivation(t: Term, sig: Signature = DEFAULT_SIGNATURE) -> Derivation:
+    """A cheap derivation of a closed constant-free term that keeps only
+    stack shapes.
+
+    The root type is the minimal ground instance.  Every inner judgment
+    type is the placeholder `(>)`, and every variable type keeps just its
+    ground stack widths, with `(>)` items.  Nothing is validated: every
+    choice inference makes is a binding in its store, so these are the
+    shapes of the derivation `infer_with_derivation` grounds and validates.
+    """
+    st, inp, out, deriv = _infer({}, t, sig)
+    placeholder = Arrow(EMPTY_MEM, EMPTY_MEM)
+
+    def shape(ty) -> Arrow:
+        ty = st.resolve_type(ty)
+        if isinstance(ty, TVar):
+            return placeholder
+        if not isinstance(ty, Arrow):
+            raise TypeCheckError("constant-free terms only")
+        return Arrow(*(mem({loc: Vector((placeholder,) * len(st.resolve_vector(vec).items))
+                            for loc, vec in m.entries})
+                       for m in (ty.input, ty.output)))
+
+    def node(d: Derivation, children: tuple[Derivation, ...]) -> Derivation:
+        if d.rule == "arg-var":
+            return Derivation("seq-var", d.term, placeholder,
+                              (Derivation("nil", d.term, placeholder),), var_type=shape(d.ty))
+        return Derivation(d.rule, d.term, placeholder, children,
+                          var_type=None if d.var_type is None else shape(d.var_type))
+
+    d = _map_derivation(deriv, node)
+    return Derivation(d.rule, d.term, _ground_ty(st, Arrow(inp, out), {}, {}), d.children,
+                      var_type=d.var_type)
+
+
+def _infer(ctx: Context, t: Term, sig: Signature):
     st = InferState()
-    st.fresh_tails = fresh_tails
     universe = sorted(locations_of(t) | {MAIN} | _ctx_locations(ctx), key=lambda l: l.name)
     inp = _fresh_open_mem(st, universe)
     st.anchors.append(inp)
-    out, deriv = _infer_spine(st, dict(ctx), t, inp, universe, sig, (), inp)
+    out, deriv = _infer_spine(st, dict(ctx), t, inp, universe, sig, ())
     return st, inp, out, deriv
-
-
-def _reachable_rows(st: InferState, obj, out: set[int], _seen: Optional[set] = None):
-    """Row metavariables reachable from obj under the current bindings."""
-    seen = _seen if _seen is not None else set()
-    match obj:
-        case Base(_):
-            pass
-        case TVar(i):
-            r = st.resolve_type(obj)
-            if not isinstance(r, TVar) and ("t", i) not in seen:
-                seen.add(("t", i))
-                _reachable_rows(st, r, out, seen)
-        case Arrow(i, o):
-            key = ("a", id(obj))
-            if key not in seen:
-                seen.add(key)
-                _reachable_rows(st, i, out, seen)
-                _reachable_rows(st, o, out, seen)
-        case Vector(_, _):
-            v = st.resolve_vector(obj)
-            if v.row is not None:
-                out.add(v.row)
-            for t in v.items:
-                _reachable_rows(st, t, out, seen)
-        case Mem(entries):
-            for _, v in entries:
-                _reachable_rows(st, v, out, seen)
-        case _:
-            raise TypeError(obj)
 
 
 def _ctx_locations(ctx: Context) -> set[Location]:
     locs: set[Location] = set()
-
-    def go(x):
-        match x:
+    todo: list = list(ctx.values())
+    while todo:
+        match todo.pop():
             case Arrow(i, o):
-                go(i)
-                go(o)
+                todo += (i, o)
             case Mem(entries):
                 for loc, v in entries:
                     locs.add(loc)
-                    go(v)
-            case Vector(items, _):
-                for t in items:
-                    go(t)
-            case _:
-                pass
-
-    for ty in ctx.values():
-        go(ty)
+                    todo += v.items
     return locs
 
 
@@ -781,12 +760,12 @@ def _fresh_open_mem(st: InferState, universe) -> Mem:
     return Mem(tuple((loc, Vector((), st.fresh_row())) for loc in sorted(universe, key=lambda l: l.name)))
 
 
-def _pop_symbolic(st: InferState, current: Mem, loc: Location, path) -> tuple[SimpleType, Mem]:
+def _pop_symbolic(st: InferState, current: Mem, loc: Location) -> tuple[SimpleType, Mem]:
     vec = st.resolve_vector(current.get(loc))
     if vec.items:
         return vec.items[-1], current.set(loc, Vector(vec.items[:-1], vec.row))
     if vec.row is None:
-        raise ArityMismatch(f"pop on {loc.name or 'the main stack'} from an empty stack type", path)
+        raise ArityMismatch(f"pop on {loc.name or 'the main stack'} from an empty stack type")
     tau = st.fresh_tvar()
     below = st.fresh_row()
     st.rv[vec.row] = Vector((tau,), below)
@@ -798,110 +777,120 @@ def _push_symbolic(st: InferState, current: Mem, loc: Location, ty: SimpleType) 
     return current.set(loc, Vector(vec.items + (ty,), vec.row))
 
 
-def _infer_spine(st, ctx, t, current, universe, sig, path, inp) -> tuple[Mem, Derivation]:
-    entry = current
-    match t:
-        case Nil():
-            return current, Derivation("nil", t, Arrow(entry, entry))
-        case Pop(loc, x, cont, annot):
-            r, current = _pop_symbolic(st, current, loc, path)
-            if annot is not None:
-                st.unify_type(r, annot, path)
-            final, child = _infer_spine(st, {**ctx, x: r}, cont, current, universe, sig, path + (0,), inp)
-            return final, Derivation("pop", t, Arrow(entry, final), (child,), binder_type=r)
-        case Push(arg, loc, cont):
-            r, arg_deriv = _infer_argument(st, ctx, arg, universe, sig, path + (0,))
-            current = _push_symbolic(st, current, loc, r)
-            final, child = _infer_spine(st, ctx, cont, current, universe, sig, path + (1,), inp)
-            return final, Derivation("push", t, Arrow(entry, final), (arg_deriv, child))
-        case Const(sym, cont):
-            lit = sig.literal_base(sym.name)
-            if lit is not None:
-                ins: tuple[SimpleType, ...] = ()
-                outs: tuple[SimpleType, ...] = (Base(lit),)
-            elif sym.name in sig.poly_ops:
-                tau = st.fresh_tvar()
-                ins, outs = (tau, tau, Base("B")), (tau,)
-            elif sym.name in sig.ops:
-                ins, outs = sig.ops[sym.name]
-            else:
-                raise UnboundVariable(sym.name, path)
-            for expected in reversed(ins):
-                r, current = _pop_symbolic(st, current, MAIN, path)
-                st.unify_type(r, expected, path)
-            for produced in outs:
-                current = _push_symbolic(st, current, MAIN, produced)
-            final, child = _infer_spine(st, ctx, cont, current, universe, sig, path + (0,), inp)
-            return final, Derivation("const", t, Arrow(entry, final), (child,),
-                                     var_type=arrow({MAIN: Vector(ins)}, {MAIN: Vector(outs)}))
-        case SeqVar(x, cont):
-            ty = ctx.get(x)
-            if ty is None:
-                raise UnboundVariable(x, path)
-            ty = st.resolve_type(ty)
-            if isinstance(ty, Base):
-                raise TypeMismatch("an arrow type", ty, path)
-            if isinstance(ty, TVar):
-                # first use fixes the variable to consume the whole current stack
-                if st._occurs("t", ty.id, current):
-                    raise OccursCheck(f"variable {x} would consume itself", path)
-                fresh_out = _fresh_open_mem(st, universe)
-                st.tv[ty.id] = Arrow(current, fresh_out)
-                current = fresh_out
-                used = st.tv[ty.id]
-            else:
-                forbidden: set[int] = set()
-                for mobj in st.anchors + [current]:
-                    _reachable_rows(st, mobj, forbidden)
-                for name, other in ctx.items():
-                    if name != x:
-                        _reachable_rows(st, other, forbidden)
-                current = _apply_arrow(st, current, ty, path, forbidden,
-                                       getattr(st, "fresh_tails", True))
-                used = ty
-            final, child = _infer_spine(st, ctx, cont, current, universe, sig, path + (0,), inp)
-            return final, Derivation("seq-var", t, Arrow(entry, final), (child,), var_type=used)
-    raise TypeError(t)
+def _infer_spine(st: InferState, ctx: Context, t: Term, current: Mem, universe, sig: Signature,
+                 path: tuple[int, ...]) -> tuple[Mem, Derivation]:
+    """Run t symbolically from the stack type `current`.
+
+    Returns the final stack type and the derivation.  The spine is walked
+    in a loop, and only push arguments nest; the pops extend `ctx` in place.
+    """
+    nodes: list = []
+    try:
+        while not isinstance(t, Nil):
+            entry = current
+            match t:
+                case Pop(loc, x, cont, annot):
+                    r, current = _pop_symbolic(st, current, loc)
+                    if annot is not None:
+                        st.unify_type(r, annot)
+                    ctx[x] = r
+                    nodes.append(("pop", t, entry, (), {"binder_type": r}))
+                case Push(arg, loc, cont):
+                    r, arg_deriv = _infer_argument(st, ctx, arg, universe, sig, (0,))
+                    current = _push_symbolic(st, current, loc, r)
+                    nodes.append(("push", t, entry, (arg_deriv,), {}))
+                case Const(sym, cont):
+                    lit = sig.literal_base(sym.name)
+                    if lit is not None:
+                        ins: tuple[SimpleType, ...] = ()
+                        outs: tuple[SimpleType, ...] = (Base(lit),)
+                    elif sym.name in sig.poly_ops:
+                        tau = st.fresh_tvar()
+                        ins, outs = (tau, tau, Base("B")), (tau,)
+                    elif sym.name in sig.ops:
+                        ins, outs = sig.ops[sym.name]
+                    else:
+                        raise UnboundVariable(sym.name)
+                    current = _frame_symbolic(st, current, MAIN, ins, outs)
+                    nodes.append(("const", t, entry, (),
+                                  {"var_type": arrow({MAIN: Vector(ins)}, {MAIN: Vector(outs)})}))
+                case SeqVar(x, cont):
+                    ty = ctx.get(x)
+                    if ty is None:
+                        raise UnboundVariable(x)
+                    ty = st.resolve_type(ty)
+                    if isinstance(ty, Base):
+                        raise TypeMismatch("an arrow type", ty)
+                    if isinstance(ty, TVar):
+                        if st._occurs("t", ty.id, current):
+                            # consuming a stack that holds the variable itself
+                            # would be cyclic: it is used as the identity
+                            st.tv[ty.id] = Arrow(EMPTY_MEM, EMPTY_MEM)
+                        else:
+                            # first use fixes the variable to consume the whole current stack
+                            fresh_out = _fresh_open_mem(st, universe)
+                            st.tv[ty.id] = Arrow(current, fresh_out)
+                            current = fresh_out
+                        ty = st.tv[ty.id]
+                    else:
+                        current = _apply_arrow(st, ctx, x, current, ty)
+                    nodes.append(("seq-var", t, entry, (), {"var_type": ty}))
+                case _:
+                    raise TypeError(t)
+            t = cont
+    except TypeCheckError as exc:  # a node's spine child follows its extra children
+        exc.path = path + tuple(len(extra) for _, _, _, extra, _ in nodes) + exc.path
+        raise
+    return current, _build_spine(nodes, Derivation("nil", t, Arrow(current, current)))
 
 
-def _apply_arrow(st: InferState, current: Mem, ty: Arrow, path,
-                 forbidden: Optional[set[int]] = None,
-                 fresh_tails: bool = True) -> Mem:
-    """Thread the current stack type through a use of an arrow-typed variable.
+def _apply_arrow(st: InferState, ctx: Context, x: str, current: Mem, ty: Arrow) -> Mem:
+    """Thread the current stack type through a sequential use of the
+    variable x, of arrow type ty.
 
-    Per location: closed vectors are consumed item-by-item on top of a
-    pass-through region; a tail row shared between the variable's input and
-    output *is* that pass-through region, so each use gets a fresh copy of
-    it when the row is private to this type; anything else is unified
-    wholesale (sound, possibly conservative).  Unifying one location can
-    bind rows mentioned by the next, so everything re-resolves per step.
+    Per location, a tail row that ty's input and output share is a
+    pass-through region.  It is bound to the empty vector when it is
+    private to ty, or when unifying it with the current stack would be
+    cyclic because it occurs in the stack's items.  A location without
+    rows then takes the closed frame rule: pop the inputs, push the
+    outputs.  Any other location is unified with the current stack as a
+    whole.  Every choice is a binding in the store, so the grounded
+    derivation is valid.  Unifying one location can bind rows mentioned by
+    the next, so everything re-resolves per step.
     """
     locs = {loc for loc, _ in ty.input.entries} | {loc for loc, _ in ty.output.entries}
     for loc in sorted(locs, key=lambda l: l.name):
         ix, ox = st.resolve_mem(ty.input), st.resolve_mem(ty.output)
         vi, vo = ix.get(loc), ox.get(loc)
-        tail_counts: dict[int, int] = {}
-        for m in (ix, ox):
-            for _, vec in m.entries:
-                if vec.row is not None:
-                    tail_counts[vec.row] = tail_counts.get(vec.row, 0) + 1
-        all_items = tuple(t for m in (ix, ox) for _, vec in m.entries for t in vec.items)
+        row = vi.row
+        if row is not None and row == vo.row:
+            # private: the tail of this location only, and reachable from no
+            # other item, judgment input, stack or variable
+            vecs = [vec for m in (ix, ox) for _, vec in m.entries]
+            others = [*(item for vec in vecs for item in vec.items), *st.anchors, current,
+                      *(other for name, other in ctx.items() if name != x)]
+            seen: set = set()
+            if ([vec.row for vec in vecs].count(row) == 2
+                    and not any(st._occurs("r", row, obj, seen) for obj in others)
+                    or any(st._occurs("r", row, item) for _, vec in current.entries
+                           for item in st.resolve_vector(vec).items)):
+                st.rv[row] = EMPTY_VEC
+                vi, vo = Vector(vi.items), Vector(vo.items)
         if vi.row is None and vo.row is None:
-            for expected in reversed(vi.items):
-                r, current = _pop_symbolic(st, current, loc, path)
-                st.unify_type(r, expected, path)
-            for produced in vo.items:
-                current = _push_symbolic(st, current, loc, produced)
-        elif (fresh_tails
-              and vi.row is not None and vi.row == vo.row and tail_counts[vi.row] == 2
-              and vi.row not in (forbidden or set())
-              and not any(st._occurs("r", vi.row, t) for t in all_items)):
-            fresh = st.fresh_row()
-            st.unify_vector(st.resolve_vector(current.get(loc)), Vector(vi.items, fresh), path)
-            current = current.set(loc, Vector(vo.items, fresh))
+            current = _frame_symbolic(st, current, loc, vi.items, vo.items)
         else:
-            st.unify_vector(st.resolve_vector(current.get(loc)), vi, path)
+            st.unify_vector(st.resolve_vector(current.get(loc)), vi)
             current = current.set(loc, st.resolve_vector(vo))
+    return current
+
+
+def _frame_symbolic(st: InferState, current: Mem, loc: Location, ins, outs) -> Mem:
+    """The closed frame rule on one location: pop ins, then push outs."""
+    for expected in reversed(ins):
+        r, current = _pop_symbolic(st, current, loc)
+        st.unify_type(r, expected)
+    for produced in outs:
+        current = _push_symbolic(st, current, loc, produced)
     return current
 
 
@@ -929,7 +918,7 @@ def _infer_argument(st, ctx, arg, universe, sig, path) -> tuple[SimpleType, Deri
             arg_inp = _fresh_open_mem(st, universe)
             st.anchors.append(arg_inp)
             try:
-                out, deriv = _infer_spine(st, ctx, arg, arg_inp, universe, sig, path, arg_inp)
+                out, deriv = _infer_spine(st, dict(ctx), arg, arg_inp, universe, sig, path)
             finally:
                 st.anchors.pop()
             return Arrow(arg_inp, out), deriv
@@ -937,127 +926,131 @@ def _infer_argument(st, ctx, arg, universe, sig, path) -> tuple[SimpleType, Deri
 
 # -- grounding and validating inferred derivations ----------------------------------
 
-def _ground_ty(st: InferState, obj, zcache: Optional[dict] = None,
-               fcache: Optional[dict] = None):
+def _ground_ty(st: InferState, obj, zcache: dict, fcache: dict):
     """Zonk, then instantiate leftover metavariables minimally."""
+    return _fill(st.zonk(obj, zcache), fcache)
+
+
+def _fill(x, fcache: dict):
+    """Instantiate the metavariables of a zonked type minimally: a type
+    variable becomes `(>)` and a row the empty vector."""
+    match x:
+        case Base(_):
+            return x
+        case TVar(_):
+            return Arrow(EMPTY_MEM, EMPTY_MEM)
+    hit = fcache.get(id(x))
+    if hit is not None:
+        return hit[1]
+    match x:
+        case Arrow(i, o):
+            out = Arrow(_fill(i, fcache), _fill(o, fcache))
+        case Vector(items, _):
+            out = Vector(tuple(_fill(t, fcache) for t in items))
+        case Mem(entries):
+            out = Mem(tuple((loc, fv) for loc, v in entries
+                            for fv in (_fill(v, fcache),) if fv.items))
+        case _:
+            raise TypeError(x)
+    fcache[id(x)] = (x, out)  # holding x keeps its id from being reused
+    return out
+
+
+def _map_derivation(d: Derivation, node) -> Derivation:
+    """Rebuild d bottom-up: node(old, rebuilt children) makes each new node.
+
+    The spine is walked in a loop; only push arguments nest.
+    """
+    spine = []
+    while d.children:
+        spine.append(d)
+        d = d.children[-1]
+    out = node(d, ())
+    for d in reversed(spine):
+        out = node(d, tuple(_map_derivation(c, node) for c in d.children[:-1]) + (out,))
+    return out
+
+
+def _ground_derivation(st: InferState, d: Derivation, zcache: Optional[dict] = None) -> Derivation:
     zcache = zcache if zcache is not None else {}
-    fcache = fcache if fcache is not None else {}
-    z = st.zonk(obj, zcache)
+    fcache: dict = {}
 
-    def fill(x):
-        match x:
-            case Base(_):
-                return x
-            case TVar(_):
-                return Arrow(EMPTY_MEM, EMPTY_MEM)
-            case _:
-                pass
-        key = id(x)
-        hit = fcache.get(key)
-        if hit is not None:
-            return hit
-        match x:
-            case Arrow(i, o):
-                out = Arrow(fill(i), fill(o))
-            case Vector(items, _):
-                out = Vector(tuple(fill(t) for t in items))
-            case Mem(entries):
-                out = Mem(tuple((loc, fv) for loc, v in entries
-                                for fv in (fill(v),) if fv.items))
-            case _:
-                raise TypeError(x)
-        fcache[key] = out
-        return out
+    def ground(x):
+        return None if x is None else _ground_ty(st, x, zcache, fcache)
 
-    try:
-        return fill(z)
-    finally:
-        del fill  # fill refers to itself: break the cycle so its types are freed now
+    def node(d: Derivation, children: tuple[Derivation, ...]) -> Derivation:
+        ty = ground(d.ty)
+        if d.rule == "arg-var":
+            if isinstance(ty, Base):
+                return Derivation("base-var", d.term, ty)
+            nil_d = Derivation("nil", NIL, Arrow(ty.output, ty.output))
+            return Derivation("seq-var", d.term, ty, (nil_d,), var_type=ty)
+        return Derivation(d.rule, d.term, ty, children,
+                          binder_type=ground(d.binder_type), var_type=ground(d.var_type))
 
-
-def _ground_derivation(st: InferState, d: Derivation,
-                       zcache: Optional[dict] = None,
-                       fcache: Optional[dict] = None) -> Derivation:
-    zcache = zcache if zcache is not None else {}
-    fcache = fcache if fcache is not None else {}
-    ty = _ground_ty(st, d.ty, zcache, fcache)
-    if d.rule == "arg-var":
-        if isinstance(ty, Base):
-            return Derivation("base-var", d.term, ty)
-        assert isinstance(ty, Arrow)
-        nil_d = Derivation("nil", NIL, Arrow(ty.output, ty.output))
-        return Derivation("seq-var", d.term, ty, (nil_d,), var_type=ty)
-    return Derivation(
-        d.rule, d.term, ty,
-        tuple(_ground_derivation(st, c, zcache, fcache) for c in d.children),
-        binder_type=None if d.binder_type is None else _ground_ty(st, d.binder_type, zcache, fcache),
-        var_type=None if d.var_type is None else _ground_ty(st, d.var_type, zcache, fcache),
-    )
+    return _map_derivation(d, node)
 
 
 def validate_derivation(d: Derivation, ctx: Context, sig: Signature = DEFAULT_SIGNATURE,
                         path: tuple[int, ...] = ()) -> None:
-    """Confirm each node is a genuine rule instance; raises on failure."""
-    match d.rule:
-        case "base-var":
-            if ctx.get(d.term.var) != d.ty:
-                raise TypeMismatch(d.ty, ctx.get(d.term.var), path)
-        case "base-lit":
-            lit = sig.literal_base(d.term.sym.name)
-            if lit is None or Base(lit) != d.ty:
-                raise TypeMismatch(d.ty, d.term.sym.name, path)
-        case "nil":
-            if not isinstance(d.ty, Arrow) or d.ty.input != d.ty.output:
-                raise TypeMismatch("an identity arrow", d.ty, path)
-        case "pop":
+    """Confirm each node is a genuine rule instance; raises on failure.
+
+    The spine is walked in a loop; only push arguments nest.
+    """
+    ctx = dict(ctx)
+    steps: list[int] = []
+    try:
+        while d.children:
             inp, out = d.ty.input, d.ty.output
-            vec = inp.get(d.term.loc)
-            if not vec.items or vec.items[-1] != d.binder_type:
-                raise TypeMismatch(d.binder_type, vec, path)
-            rest = inp.set(d.term.loc, Vector(vec.items[:-1]))
-            child = d.children[0]
-            if child.ty != Arrow(rest, out):
-                raise TypeMismatch(Arrow(rest, out), child.ty, path)
-            validate_derivation(child, {**ctx, d.term.var: d.binder_type}, sig, path + (0,))
-        case "push":
-            arg_d, child = d.children
-            inp, out = d.ty.input, d.ty.output
-            grown = inp.set(d.term.loc, Vector(inp.get(d.term.loc).items + (arg_d.ty,)))
-            if child.ty != Arrow(grown, out):
-                raise TypeMismatch(Arrow(grown, out), child.ty, path)
-            validate_derivation(arg_d, ctx, sig, path + (0,))
-            validate_derivation(child, ctx, sig, path + (1,))
-        case "seq-var":
-            found = ctx.get(d.term.var)
-            if found != d.var_type or not isinstance(found, Arrow):
-                raise TypeMismatch(d.var_type, found, path)
-            below = strip_suffix(d.ty.input, found.input)
-            if below is None:
-                raise TypeMismatch(found.input, d.ty.input, path)
-            child = d.children[0]
-            if child.ty != Arrow(concat_mem(below, found.output), d.ty.output):
-                raise TypeMismatch(Arrow(concat_mem(below, found.output), d.ty.output),
-                                   child.ty, path)
-            validate_derivation(child, ctx, sig, path + (0,))
-        case "const":
-            sym = d.term.sym
-            ins, outs = d.var_type.input.get(MAIN).items, d.var_type.output.get(MAIN).items
-            lit = sig.literal_base(sym.name)
-            if lit is not None:
-                if ins or outs != (Base(lit),):
-                    raise TypeMismatch(Base(lit), d.var_type, path)
-            elif sym.name in sig.poly_ops:
-                if len(ins) != 3 or ins[0] != ins[1] or ins[2] != Base("B") or outs != (ins[0],):
-                    raise TypeMismatch("a conditional instance", d.var_type, path)
-            elif sig.ops.get(sym.name) != (ins, outs):
-                raise TypeMismatch(sig.ops.get(sym.name), (ins, outs), path)
-            below = strip_suffix(d.ty.input, mem({MAIN: Vector(ins)}))
-            if below is None:
-                raise TypeMismatch(Vector(ins), d.ty.input.get(MAIN), path)
-            child = d.children[0]
-            expected = Arrow(concat_mem(below, mem({MAIN: Vector(outs)})), d.ty.output)
-            if child.ty != expected:
-                raise TypeMismatch(expected, child.ty, path)
-            validate_derivation(child, ctx, sig, path + (0,))
-        case other:
-            raise TypeCheckError(f"unknown rule {other}", path)
+            match d.rule:
+                case "pop":
+                    vec = inp.get(d.term.loc)
+                    if not vec.items or vec.items[-1] != d.binder_type:
+                        raise TypeMismatch(d.binder_type, vec)
+                    inp = inp.set(d.term.loc, Vector(vec.items[:-1]))
+                    ctx[d.term.var] = d.binder_type
+                case "push":
+                    arg_d = d.children[0]
+                    validate_derivation(arg_d, ctx, sig, (0,))
+                    inp = inp.set(d.term.loc, Vector(inp.get(d.term.loc).items + (arg_d.ty,)))
+                case "seq-var":
+                    found = ctx.get(d.term.var)
+                    if found != d.var_type or not isinstance(found, Arrow):
+                        raise TypeMismatch(d.var_type, found)
+                    inp = _frame(inp, found)
+                case "const":
+                    sym = d.term.sym
+                    ins, outs = d.var_type.input.get(MAIN).items, d.var_type.output.get(MAIN).items
+                    lit = sig.literal_base(sym.name)
+                    if lit is not None:
+                        if ins or outs != (Base(lit),):
+                            raise TypeMismatch(Base(lit), d.var_type)
+                    elif sym.name in sig.poly_ops:
+                        if len(ins) != 3 or ins[0] != ins[1] or ins[2] != Base("B") or outs != (ins[0],):
+                            raise TypeMismatch("a conditional instance", d.var_type)
+                    elif sig.ops.get(sym.name) != (ins, outs):
+                        raise TypeMismatch(sig.ops.get(sym.name), (ins, outs))
+                    inp = _frame(inp, d.var_type)
+                case other:
+                    raise TypeCheckError(f"unknown rule {other}")
+            child = d.children[-1]
+            if child.ty != Arrow(inp, out):
+                raise TypeMismatch(Arrow(inp, out), child.ty)
+            steps.append(len(d.children) - 1)
+            d = child
+        match d.rule:
+            case "base-var":
+                if ctx.get(d.term.var) != d.ty:
+                    raise TypeMismatch(d.ty, ctx.get(d.term.var))
+            case "base-lit":
+                lit = sig.literal_base(d.term.sym.name)
+                if lit is None or Base(lit) != d.ty:
+                    raise TypeMismatch(d.ty, d.term.sym.name)
+            case "nil":
+                if not isinstance(d.ty, Arrow) or d.ty.input != d.ty.output:
+                    raise TypeMismatch("an identity arrow", d.ty)
+            case other:
+                raise TypeCheckError(f"unknown rule {other}")
+    except TypeCheckError as exc:
+        exc.path = path + tuple(steps) + exc.path  # the position of the failing node
+        raise

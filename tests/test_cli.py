@@ -172,3 +172,11 @@ def test_trace_long_program(tmp_path):
     lines = done.stdout.splitlines()
     assert len([l for l in lines if "||" in l]) == 1002
     assert lines[-2:] == ["final: lam = 5", "steps: 1001"]
+
+
+def test_infer_long_program(tmp_path):
+    src = tmp_path / "long.fmc"
+    src.write_text("[1]." + "[1].+." * 4999 + "[1].+\n")  # 10,001 actions
+    done = run_fmc("infer", str(src))
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert done.stdout.strip() == "~r1 > ~r1 Z"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fmclab.gen import random_term
+from fmclab.gen import enumerate_closed_terms, random_simple_type, random_term
 from fmclab.parser import (
     ParseError,
     format_memory,
@@ -13,7 +13,7 @@ from fmclab.parser import (
     print_type,
 )
 from fmclab.syntax import MAIN, Location, Nil, Pop, alpha_eq
-from fmclab.typesys import Arrow, Base, Vector, mem
+from fmclab.typesys import Arrow, Base, TypeCheckError, Vector, infer, mem
 
 p = parse_term
 
@@ -122,6 +122,27 @@ def test_type_print_parse_corpus():
                 "(Z > Z) Z > Z", "((>) > (>)) >"]:
         ty = parse_type(src)
         assert parse_type(print_type(ty)) == ty
+
+
+def test_bare_atom_before_parenthesized_arrow():
+    # `Z (` is an atom then an arrow; only `Z(` opens a location group
+    ty = parse_type("Z (Z > Z Z) > Z Z Z")
+    assert ty.input.get(MAIN).items == (Base("Z"), parse_type("Z > Z Z"))
+    assert print_type(ty) == "Z (Z > Z Z) > Z Z Z"
+    assert parse_type("Z(Z) > Z(Z)").input.get(Location("Z")).items == (Base("Z"),)
+
+
+def test_printed_types_parse_back():
+    rng = random.Random(7)
+    types = [random_simple_type(rng, depth=3, bases=("Z", "B")) for _ in range(400)]
+    for t in enumerate_closed_terms(6, (MAIN, Location("a"))):
+        try:
+            types.append(infer({}, t).instantiate_minimal())
+        except TypeCheckError:
+            pass
+    assert len(types) > 1400
+    for ty in types:
+        assert parse_type(print_type(ty)) == ty, print_type(ty)
 
 
 # -- fuzzed round trips ---------------------------------------------------------------

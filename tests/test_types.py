@@ -1,10 +1,11 @@
+import gc
 import itertools
 
 import pytest
 
-from fmclab.gen import random_typed_terms
+from fmclab.gen import enumerate_closed_terms, random_typed_terms
 from fmclab.machine import run
-from fmclab.measure import least_input_memory
+from fmclab.measure import lean_run_length_derivation, least_input_memory
 from fmclab.parser import parse_term, parse_type, print_term
 from fmclab.reduction import beta_redexes, reduce_at
 from fmclab.syntax import MAIN, Location, alpha_eq
@@ -139,8 +140,87 @@ def test_infer_rejects_unbound():
 
 
 def test_infer_occurs_check():
+    # M M for M = <e0>.[e0.<e1>].e0 runs forever from the empty memory, so
+    # no type fits it: typed terms are strongly normalizing
+    omega = p("[<e0>.[e0.<e1>].e0].<y>.[y].y")
+    assert run({}, omega, fuel=100).status == "fuel"
     with pytest.raises(OccursCheck):
-        infer({}, p("<x>.[x].x"))
+        infer({}, omega)
+    for ty in (">", "(>) > (>)", "> (>)"):
+        with pytest.raises(TypeCheckError):
+            check({}, omega, parse_type(ty))
+
+
+@pytest.mark.parametrize("src", [
+    "[*]b.<b0>.b<b1>.b1.[*]b.[b1]a.a<b2>.b2",
+    "<b0>.[<b2>].<b1>.b1.b0.<b2>.[b1].<b3>.b1.<b4>",
+    "[*].<b1>.[[*].[b1].b1].b1",
+    "<x>.[x].x",
+    "[*].<e0>.e0.[e0].e0",
+])
+def test_infer_types_what_check_accepts(src):
+    scheme, deriv = infer_with_derivation({}, p(src))
+    validate_derivation(deriv, {})
+    ty = scheme.instantiate_minimal()
+    assert deriv.ty == ty
+    check_infer({}, p(src), ty)
+
+
+def test_infer_self_use_is_identity():
+    # the variable's own type is on the stack at its first use
+    assert pretty_type(infer({}, p("<x>.[x].x")).instantiate_minimal()) == "(>) > (>)"
+    check({}, p("<x>.[x].x"), parse_type("(>) > (>)"))
+    check_infer({}, p("[*]b.<b0>.b<b1>.b1.[*]b.[b1]a.a<b2>.b2"), parse_type("Z > b((>))"))
+
+
+def test_infer_exhaustive_small_terms():
+    # every closed one-location term of size <= 8; 2,330 is how many the
+    # earlier two-mode inference typed
+    total = typed = 0
+    for t in enumerate_closed_terms(8):
+        total += 1
+        try:
+            scheme, deriv = infer_with_derivation({}, t)
+        except TypeCheckError:
+            continue
+        typed += 1
+        ty = scheme.instantiate_minimal()
+        assert deriv.ty == ty
+        assert check_infer({}, t, ty).ty == ty, print_term(t)
+    assert total == 2606
+    assert typed >= 2330
+
+
+def test_long_chains_type_without_recursion():
+    n = 5000
+    chain = p("[1]." + "[1].+." * (n - 1) + "[1].+")  # 2n + 1 actions
+    assert pretty_type(infer({}, chain).instantiate_minimal()) == "> Z"
+    assert check_infer({}, chain, parse_type("> Z")).ty == parse_type("> Z")
+    assert check({}, chain, parse_type("> Z")).ty == parse_type("> Z")
+    with pytest.raises(TypeCheckError) as err:
+        check({}, chain, parse_type("> Z Z"))
+    assert err.value.path == (1,) + (1, 0) * n  # the final nil
+
+
+def test_typing_makes_no_reference_cycles():
+    terms = [t for t, _ in random_typed_terms(seed=106, count=40, max_size=12)]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for t in terms:
+            scheme, _ = infer_with_derivation({}, t)
+            ty = scheme.instantiate_minimal()
+            check({}, t, ty)
+            check_infer({}, t, ty)
+            scheme.metavars()
+            lean_run_length_derivation(t)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage
+                  if callable(obj) and getattr(obj, "__module__", None) == "fmclab.typesys"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 # -- unification -----------------------------------------------------------------
