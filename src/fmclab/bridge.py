@@ -8,6 +8,7 @@ lambda -> stack -> lambda is beta-eta-identity.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,12 +25,12 @@ from .lambda_calc import (
     Pattern,
     PTuple,
     PVar,
-    lfresh,
+    infer_lambda,
     proj,
 )
 from .machine import bool_term, int_term
-from .syntax import MAIN, NIL, Const, ConstSym, Location, Pop, Push, Term, compose, var
-from .typesys import Arrow, Base, Derivation, Mem, SimpleType, Vector, mem
+from .syntax import MAIN, NIL, Const, ConstSym, Location, Nil, Pop, Push, SeqVar, Term, compose, var
+from .typesys import DEFAULT_SIGNATURE, Arrow, Base, Derivation, Mem, SimpleType, Vector, mem
 
 IN, OUT, RND, ND = Location("in"), Location("out"), Location("rnd"), Location("nd")
 RESERVED_CELLS = {IN.name, OUT.name, RND.name, ND.name, "lam"}
@@ -132,34 +133,34 @@ def encode_cbv(t: CbvTerm, cells: Optional[frozenset[str]] = None) -> Term:
     bad = used & RESERVED_CELLS
     if bad:
         raise UndeclaredCell(f"reserved location names used as cells: {sorted(bad)}")
+    return _encode(t)
 
-    def go(t: CbvTerm) -> Term:
-        match t:
-            case CVar(x):
-                return Push(var(x), MAIN, NIL)
-            case CLit(n):
-                return Push(int_term(n), MAIN, NIL)
-            case CLam(x, b):
-                return Push(Pop(MAIN, x, go(b)), MAIN, NIL)
-            case CApp(f, a):
-                return compose(go(a), compose(go(f), Pop(MAIN, "zap", var("zap"))))
-            case CRead():
-                return Pop(IN, "zin", Push(var("zin"), MAIN, NIL))
-            case CDeref(cell):
-                loc = Location(cell)
-                return Pop(loc, "zc", Push(var("zc"), loc, Push(var("zc"), MAIN, NIL)))
-            case CWrite(v, c):
-                return compose(go(v), Pop(MAIN, "zw", Push(var("zw"), OUT, go(c))))
-            case CAssign(cell, v, c):
-                loc = Location(cell)
-                return compose(go(v), Pop(MAIN, "znew", Pop(loc, "zold", Push(var("znew"), loc, go(c)))))
-            case CProb(l, r):
-                return _choice(RND, go(l), go(r))
-            case CNondet(l, r):
-                return _choice(ND, go(l), go(r))
-        raise TypeError(t)
 
-    return go(t)
+def _encode(t: CbvTerm) -> Term:
+    match t:
+        case CVar(x):
+            return Push(var(x), MAIN, NIL)
+        case CLit(n):
+            return Push(int_term(n), MAIN, NIL)
+        case CLam(x, b):
+            return Push(Pop(MAIN, x, _encode(b)), MAIN, NIL)
+        case CApp(f, a):
+            return compose(_encode(a), compose(_encode(f), Pop(MAIN, "zap", var("zap"))))
+        case CRead():
+            return Pop(IN, "zin", Push(var("zin"), MAIN, NIL))
+        case CDeref(cell):
+            loc = Location(cell)
+            return Pop(loc, "zc", Push(var("zc"), loc, Push(var("zc"), MAIN, NIL)))
+        case CWrite(v, c):
+            return compose(_encode(v), Pop(MAIN, "zw", Push(var("zw"), OUT, _encode(c))))
+        case CAssign(cell, v, c):
+            loc = Location(cell)
+            return compose(_encode(v), Pop(MAIN, "znew", Pop(loc, "zold", Push(var("znew"), loc, _encode(c)))))
+        case CProb(l, r):
+            return _choice(RND, _encode(l), _encode(r))
+        case CNondet(l, r):
+            return _choice(ND, _encode(l), _encode(r))
+    raise TypeError(t)
 
 
 def _choice(stream: Location, left_enc: Term, right_enc: Term) -> Term:
@@ -386,39 +387,70 @@ def _vector_to_lambda(vec: Vector) -> LambdaType:
     return LProd(tys)
 
 
-def _require_sequential(m: Mem, what: str):
+class LambdaTranslationError(Exception):
+    pass
+
+
+def _require_sequential(m: Mem):
     for loc, vec in m.entries:
         if not loc.is_main() and (vec.items or vec.row is not None):
-            raise ValueError(f"{what} translation needs a sequential-fragment type")
+            raise LambdaTranslationError("lambda translation needs a sequential-fragment type")
 
 
-def fmc_to_lambda(deriv: Derivation, valuation: Optional[dict[str, LambdaTerm]] = None
-                  ) -> tuple[list[str], list[LambdaTerm]]:
+class _Names:
+    """Fresh names base1, base2, ... for one translation, none of them taken."""
+
+    def __init__(self, taken: Callable[[str], bool]):
+        self.taken, self.count = taken, 0
+
+    def fresh(self, base: str) -> str:
+        while True:
+            self.count += 1
+            name = f"{base}{self.count}"
+            if not self.taken(name):
+                return name
+
+
+def _term_names(t: Term) -> set[str]:
+    """Every variable and constant name that occurs in t."""
+    names, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        while type(t) is not Nil:
+            if type(t) is SeqVar:
+                names.add(t.var)
+            elif type(t) is Const:
+                names.add(t.sym.name)
+            elif type(t) is Push:
+                todo.append(t.arg)
+            t = t.cont
+    return names
+
+
+def fmc_to_lambda(deriv: Derivation) -> tuple[list[str], list[LambdaTerm]]:
     """Open lambda-term for a sequential judgment: one context variable per
     input slot (bottom to top), one output term per output slot."""
     assert isinstance(deriv.ty, Arrow)
-    _require_sequential(deriv.ty.input, "lambda")
-    ctx_vars = [lfresh("s") for _ in deriv.ty.input.get(MAIN).items]
-    stack = [LVar(x) for x in ctx_vars]
-    outputs = _translate_spine(deriv, dict(valuation or {}), stack)
+    _require_sequential(deriv.ty.input)
+    names = _Names(_term_names(deriv.term).__contains__)
+    ctx_vars = [names.fresh("s") for _ in deriv.ty.input.get(MAIN).items]
+    outputs = _translate_spine(deriv, {}, [LVar(x) for x in ctx_vars], names)
     return ctx_vars, outputs
 
 
-def _value_of(deriv: Derivation, valuation: dict[str, LambdaTerm]) -> LambdaTerm:
+def _value_of(deriv: Derivation, valuation: dict[str, LambdaTerm], names: _Names) -> LambdaTerm:
     """The lambda-value of a push argument."""
     if isinstance(deriv.ty, Base):
         if deriv.rule == "base-var":
             return valuation.get(deriv.term.var, LVar(deriv.term.var))
         return LVar(deriv.term.sym.name)  # literal constant
     assert isinstance(deriv.ty, Arrow)
-    _require_sequential(deriv.ty.input, "lambda")
-    slots = deriv.ty.input.get(MAIN).items
-    names = [lfresh("a") for _ in slots]
-    body = _translate_spine(deriv, valuation, [LVar(x) for x in names])
-    out = _pack(body)
-    if len(names) == 1:
-        return LLam(PVar(names[0]), out)
-    return LLam(PTuple(tuple(PVar(x) for x in names)), out)
+    _require_sequential(deriv.ty.input)
+    params = [names.fresh("a") for _ in deriv.ty.input.get(MAIN).items]
+    out = _pack(_translate_spine(deriv, valuation, [LVar(x) for x in params], names))
+    if len(params) == 1:
+        return LLam(PVar(params[0]), out)
+    return LLam(PTuple(tuple(PVar(x) for x in params)), out)
 
 
 def _pack(items: list[LambdaTerm]) -> LambdaTerm:
@@ -433,44 +465,42 @@ def _splice(result: LambdaTerm, width: int, stack: list[LambdaTerm]):
             stack.append(LApp(proj(i + 1, width), result))
 
 
+def _pop_args(vt: Arrow, stack: list[LambdaTerm]) -> list[LambdaTerm]:
+    k = len(vt.input.get(MAIN).items)
+    args = stack[len(stack) - k:] if k else []
+    del stack[len(stack) - k:]
+    return args
+
+
 def _translate_spine(deriv: Derivation, valuation: dict[str, LambdaTerm],
-                     stack: list[LambdaTerm]) -> list[LambdaTerm]:
-    match deriv.rule:
-        case "nil":
-            return stack
-        case "pop":
-            if not deriv.term.loc.is_main():
-                raise ValueError("lambda translation needs a sequential term")
-            value = stack.pop()
-            return _translate_spine(deriv.children[0],
-                                    {**valuation, deriv.term.var: value}, stack)
-        case "push":
-            if not deriv.term.loc.is_main():
-                raise ValueError("lambda translation needs a sequential term")
-            arg_deriv, cont = deriv.children
-            stack.append(_value_of(arg_deriv, valuation))
-            return _translate_spine(cont, valuation, stack)
-        case "seq-var":
-            vt = deriv.var_type
-            _require_sequential(vt.input, "lambda")
-            k = len(vt.input.get(MAIN).items)
-            args = stack[len(stack) - k:] if k else []
-            del stack[len(stack) - k:]
-            fn = valuation.get(deriv.term.var, LVar(deriv.term.var))
-            result = LApp(fn, _pack(args) if args else LTuple(()))
-            _splice(result, len(vt.output.get(MAIN).items), stack)
-            return _translate_spine(deriv.children[0], valuation, stack)
-        case "const":
-            vt = deriv.var_type
-            k = len(vt.input.get(MAIN).items)
-            args = stack[len(stack) - k:] if k else []
-            del stack[len(stack) - k:]
-            head: LambdaTerm = LVar(deriv.term.sym.name)
-            if args:
-                head = LApp(head, _pack(args))
-            _splice(head, len(vt.output.get(MAIN).items), stack)
-            return _translate_spine(deriv.children[0], valuation, stack)
-    raise ValueError(deriv.rule)
+                     stack: list[LambdaTerm], names: _Names) -> list[LambdaTerm]:
+    valuation = dict(valuation)
+    while deriv.rule != "nil":
+        match deriv.rule:
+            case "pop" | "push" if not deriv.term.loc.is_main():
+                raise LambdaTranslationError("lambda translation needs a sequential term")
+            case "pop":
+                valuation[deriv.term.var] = stack.pop()
+            case "push":
+                stack.append(_value_of(deriv.children[0], valuation, names))
+            case "seq-var":
+                vt = deriv.var_type
+                _require_sequential(vt.input)
+                args = _pop_args(vt, stack)
+                fn = valuation.get(deriv.term.var, LVar(deriv.term.var))
+                result = LApp(fn, _pack(args) if args else LTuple(()))
+                _splice(result, len(vt.output.get(MAIN).items), stack)
+            case "const":
+                vt = deriv.var_type
+                args = _pop_args(vt, stack)
+                head: LambdaTerm = LVar(deriv.term.sym.name)
+                if args:
+                    head = LApp(head, _pack(args))
+                _splice(head, len(vt.output.get(MAIN).items), stack)
+            case _:
+                raise LambdaTranslationError(f"unexpected rule {deriv.rule}")
+        deriv = deriv.children[-1]
+    return stack
 
 
 def fmc_to_lambda_closed(deriv: Derivation) -> tuple[LambdaTerm, LambdaType]:
@@ -510,10 +540,6 @@ def lambda_type_vector(ty: LambdaType) -> tuple[SimpleType, ...]:
     raise TypeError(ty)
 
 
-class LambdaTranslationError(Exception):
-    pass
-
-
 def _flatten_pattern(p: Pattern, ty: LambdaType) -> list[tuple[str, LambdaType]]:
     match p, ty:
         case PVar(x), _:
@@ -526,34 +552,25 @@ def _flatten_pattern(p: Pattern, ty: LambdaType) -> list[tuple[str, LambdaType]]
     raise LambdaTranslationError(f"pattern {p} does not match type {ty}")
 
 
-def _entry_width(ty: LambdaType) -> int:
-    return len(lambda_type_vector(ty))
-
-
 def lambda_to_fmc(t: LambdaTerm, ctx: Optional[list[tuple[str, LambdaType]]] = None,
                   ty: Optional[LambdaType] = None) -> Term:
     """Translate a typed lambda-term; the result consumes the context off
-    the stack (first binding deepest) and leaves the value's slots."""
-    from .lambda_calc import infer_lambda
-
+    the stack (first binding deepest) and leaves the value's slots.  An
+    earlier binding of a name shadows a later one."""
     ctx = list(ctx or [])
     if ty is None:
-        ty = infer_lambda(t, dict(ctx))
-    return _to_fmc(t, ctx, ty)
+        ty = infer_lambda(t, dict(reversed(ctx)))
+    return _to_fmc(t, ctx, ty, _Names(DEFAULT_SIGNATURE.is_const))
 
 
-def _ctx_blocks(ctx: list[tuple[str, LambdaType]]) -> list[tuple[str, LambdaType, list[str]]]:
-    blocks = []
-    for name, ty in ctx:
-        width = _entry_width(ty)
-        slots = [lfresh("g") for _ in range(width)]
-        blocks.append((name, ty, slots))
-    return blocks
+def _ctx_blocks(ctx: list[tuple[str, LambdaType]], names: _Names) -> list[tuple[str, list[str]]]:
+    """One block of stack slots per context entry, one slot per value."""
+    return [(name, [names.fresh("g") for _ in lambda_type_vector(ty)]) for name, ty in ctx]
 
 
 def _pops_blocks(blocks, body: Term) -> Term:
     t = body
-    for _, _, slots in blocks:
+    for _, slots in blocks:
         for s in slots:
             t = Pop(MAIN, s, t)
     return t
@@ -561,47 +578,41 @@ def _pops_blocks(blocks, body: Term) -> Term:
 
 def _pushes_blocks(blocks, body: Term) -> Term:
     t = body
-    for _, _, slots in reversed(blocks):
+    for _, slots in reversed(blocks):
         for s in reversed(slots):
             t = Push(var(s), MAIN, t)
     return t
 
 
-def _to_fmc(t: LambdaTerm, ctx: list[tuple[str, LambdaType]], ty: LambdaType) -> Term:
-    from .lambda_calc import infer_lambda
-
-    blocks = _ctx_blocks(ctx)
-
-    def typeof(sub: LambdaTerm) -> LambdaType:
-        return infer_lambda(sub, dict(ctx))
-
+def _to_fmc(t: LambdaTerm, ctx: list[tuple[str, LambdaType]], ty: LambdaType,
+            names: _Names) -> Term:
+    blocks = _ctx_blocks(ctx, names)
     match t:
         case LVar(x):
-            for name, _, slots in reversed(blocks):
-                if name == x:
-                    return _pops_blocks(blocks, _pushes_blocks([(name, None, slots)], NIL))
+            for block in blocks:
+                if block[0] == x:
+                    return _pops_blocks(blocks, _pushes_blocks([block], NIL))
             raise LambdaTranslationError(f"unbound variable {x}")
         case LTuple(items):
             match ty:
                 case LProd(tys) if len(tys) == len(items):
                     body: Term = NIL
                     for sub, sub_ty in zip(items, tys):
-                        seg = _pushes_blocks(blocks, _to_fmc(sub, ctx, sub_ty))
+                        seg = _pushes_blocks(blocks, _to_fmc(sub, ctx, sub_ty, names))
                         body = compose(body, seg)
                     return _pops_blocks(blocks, body)
             raise LambdaTranslationError(f"tuple at non-product type {ty}")
         case LApp(f, a):
-            aty = typeof(a)
-            fty = LArrow(aty, ty)
-            seg_arg = _pushes_blocks(blocks, _to_fmc(a, ctx, aty))
-            seg_fn = _pushes_blocks(blocks, _to_fmc(f, ctx, fty))
+            aty = infer_lambda(a, dict(reversed(ctx)))
+            seg_arg = _pushes_blocks(blocks, _to_fmc(a, ctx, aty, names))
+            seg_fn = _pushes_blocks(blocks, _to_fmc(f, ctx, LArrow(aty, ty), names))
             force = Pop(MAIN, "k", var("k"))
             return _pops_blocks(blocks, compose(seg_arg, compose(seg_fn, force)))
         case LLam(p, b):
             match ty:
                 case LArrow(dom, cod):
                     inner_ctx = _flatten_pattern(p, dom) + ctx
-                    thunk = _pushes_blocks(blocks, _to_fmc(b, inner_ctx, cod))
+                    thunk = _pushes_blocks(blocks, _to_fmc(b, inner_ctx, cod, names))
                     return _pops_blocks(blocks, Push(thunk, MAIN, NIL))
             raise LambdaTranslationError(f"lambda at non-arrow type {ty}")
     raise TypeError(t)

@@ -1,8 +1,12 @@
 """Simply-typed lambda-calculus with n-ary tuples and patterns.
 
 Target and source of the stack-calculus translations.  Equality of typed
-terms is decided by comparing eta-long beta-normal forms; binder shapes in
-eta-long forms follow the type, so tupled and curried presentations meet.
+terms is decided by normalization by evaluation: a term evaluates to a
+semantic value (a closure, a tuple, or a neutral variable under
+applications and projections), and a type-directed read-back returns its
+eta-long beta-normal form.  Binder shapes in that form follow the type, so
+tupled and curried presentations meet, and binders are named by de Bruijn
+level, so beta-eta-equal terms have `==` normal forms.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class LProd:
 
 LambdaType = LBase | LArrow | LProd
 
-LUNIT = LProd(())
+
+class LTypeError(Exception):
+    pass
 
 
 def pattern_vars(p: Pattern) -> list[str]:
@@ -83,19 +89,6 @@ def pattern_vars(p: Pattern) -> list[str]:
                 out.extend(pattern_vars(q))
             return out
     raise TypeError(p)
-
-
-def lfree_vars(t: LambdaTerm) -> frozenset[str]:
-    match t:
-        case LVar(x):
-            return frozenset({x})
-        case LApp(f, a):
-            return lfree_vars(f) | lfree_vars(a)
-        case LLam(p, b):
-            return lfree_vars(b) - frozenset(pattern_vars(p))
-        case LTuple(items):
-            return frozenset().union(*(lfree_vars(i) for i in items)) if items else frozenset()
-    raise TypeError(t)
 
 
 def lsize(t: LambdaTerm) -> int:
@@ -111,221 +104,126 @@ def lsize(t: LambdaTerm) -> int:
     raise TypeError(t)
 
 
-_counter = 0
-
-
-def lfresh(base: str = "u") -> str:
-    global _counter
-    _counter += 1
-    return f"{base}%{_counter}"
-
-
-def lsubstitute(t: LambdaTerm, subs: dict[str, LambdaTerm]) -> LambdaTerm:
-    if not subs:
-        return t
-    match t:
-        case LVar(x):
-            return subs.get(x, t)
-        case LApp(f, a):
-            return LApp(lsubstitute(f, subs), lsubstitute(a, subs))
-        case LTuple(items):
-            return LTuple(tuple(lsubstitute(i, subs) for i in items))
-        case LLam(p, b):
-            bound = set(pattern_vars(p))
-            live = {x: n for x, n in subs.items() if x not in bound}
-            if not live:
-                return t
-            clash = set().union(*(lfree_vars(n) for n in live.values())) & bound
-            if clash:
-                renames = {x: lfresh(x.split("%")[0]) for x in pattern_vars(p)}
-                p = _rename_pattern(p, renames)
-                b = lsubstitute(b, {x: LVar(y) for x, y in renames.items()})
-            return LLam(p, lsubstitute(b, live))
-    raise TypeError(t)
-
-
-def _rename_pattern(p: Pattern, renames: dict[str, str]) -> Pattern:
-    match p:
-        case PVar(x):
-            return PVar(renames.get(x, x))
-        case PTuple(items):
-            return PTuple(tuple(_rename_pattern(q, renames) for q in items))
-    raise TypeError(p)
-
-
-def lalpha_eq(a: LambdaTerm, b: LambdaTerm) -> bool:
-    def go(a, b, ea, eb, depth):
-        match a, b:
-            case LVar(x), LVar(y):
-                return ea.get(x, x) == eb.get(y, y)
-            case LApp(f1, a1), LApp(f2, a2):
-                return go(f1, f2, ea, eb, depth) and go(a1, a2, ea, eb, depth)
-            case LTuple(i1), LTuple(i2):
-                return len(i1) == len(i2) and all(go(x, y, ea, eb, depth) for x, y in zip(i1, i2))
-            case LLam(p1, b1), LLam(p2, b2):
-                v1, v2 = pattern_vars(p1), pattern_vars(p2)
-                if len(v1) != len(v2) or _pattern_shape(p1) != _pattern_shape(p2):
-                    return False
-                ea2 = {**ea, **{x: depth + i for i, x in enumerate(v1)}}
-                eb2 = {**eb, **{y: depth + i for i, y in enumerate(v2)}}
-                return go(b1, b2, ea2, eb2, depth + len(v1))
-            case _:
-                return False
-
-    return go(a, b, {}, {}, 0)
-
-
-def _pattern_shape(p: Pattern):
-    match p:
-        case PVar(_):
-            return "*"
-        case PTuple(items):
-            return tuple(_pattern_shape(q) for q in items)
-
-
-# -- reduction ----------------------------------------------------------------
-
-class LFuelExhausted(Exception):
-    pass
-
-
-def _match_pattern(p: Pattern, n: LambdaTerm) -> Optional[dict[str, LambdaTerm]]:
-    """Bindings for a pattern against a term; tuples must be literal."""
-    match p:
-        case PVar(x):
-            return {x: n}
-        case PTuple(items):
-            if isinstance(n, LTuple) and len(n.items) == len(items):
-                out: dict[str, LambdaTerm] = {}
-                for q, m in zip(items, n.items):
-                    sub = _match_pattern(q, m)
-                    if sub is None:
-                        return None
-                    out.update(sub)
-                return out
-            return None
-    raise TypeError(p)
-
-
-def _step(t: LambdaTerm) -> Optional[LambdaTerm]:
-    """One leftmost-outermost pattern-beta step."""
-    match t:
-        case LApp(LLam(p, b), n):
-            sub = _match_pattern(p, n)
-            if sub is not None:
-                return lsubstitute(b, sub)
-        case _:
-            pass
-    match t:
-        case LApp(f, a):
-            f2 = _step(f)
-            if f2 is not None:
-                return LApp(f2, a)
-            a2 = _step(a)
-            if a2 is not None:
-                return LApp(f, a2)
-        case LLam(p, b):
-            b2 = _step(b)
-            if b2 is not None:
-                return LLam(p, b2)
-        case LTuple(items):
-            for i, m in enumerate(items):
-                m2 = _step(m)
-                if m2 is not None:
-                    return LTuple(items[:i] + (m2,) + items[i + 1:])
-        case _:
-            pass
-    return None
-
-
-def lambda_normalize(t: LambdaTerm, fuel: int = 10**5) -> LambdaTerm:
-    for _ in range(fuel):
-        nxt = _step(t)
-        if nxt is None:
-            return t
-        t = nxt
-    raise LFuelExhausted(f"no normal form within {fuel} steps")
-
-
 def proj(i: int, n: int) -> LambdaTerm:
     """The i-th (1-based) projection out of an n-tuple, as sugar."""
     names = [f"pr{k}" for k in range(1, n + 1)]
     return LLam(PTuple(tuple(PVar(x) for x in names)), LVar(names[i - 1]))
 
 
-def _is_proj(t: LambdaTerm) -> Optional[tuple[int, int]]:
-    match t:
-        case LLam(PTuple(items), LVar(x)) if all(isinstance(q, PVar) for q in items):
-            names = [q.name for q in items]
-            if x in names and len(set(names)) == len(names):
-                return names.index(x) + 1, len(names)
-    return None
+# -- normalization by evaluation ------------------------------------------------
+
+class _Closure:
+    __slots__ = ("pattern", "body", "env")
+
+    def __init__(self, pattern: Pattern, body: LambdaTerm, env: dict):
+        self.pattern, self.body, self.env = pattern, body, env
 
 
-# -- eta-long forms -----------------------------------------------------------
+class _Neutral:
+    """A variable of type `ty` under a spine of eliminations: an int i in
+    the spine projects component i, any other entry is an argument value."""
 
-def _fresh_pattern(ty: LambdaType) -> tuple[Pattern, LambdaTerm, dict[str, LambdaType]]:
-    """A type-shaped pattern of fresh variables, with its term image."""
-    match ty:
-        case LProd(items):
-            ps, ts, ctx = [], [], {}
-            for a in items:
-                p, t, c = _fresh_pattern(a)
-                ps.append(p)
-                ts.append(t)
-                ctx.update(c)
-            return PTuple(tuple(ps)), LTuple(tuple(ts)), ctx
-        case _:
-            x = lfresh("e")
-            return PVar(x), LVar(x), {x: ty}
+    __slots__ = ("head", "ty", "spine")
+
+    def __init__(self, head: LVar, ty: LambdaType, spine: tuple = ()):
+        self.head, self.ty, self.spine = head, ty, spine
 
 
-def eta_long(t: LambdaTerm, ty: LambdaType, ctx: dict[str, LambdaType],
-             fuel: int = 10**5) -> LambdaTerm:
-    """Eta-long beta-normal form; canonical for typed terms."""
-    t = lambda_normalize(t, fuel)
-    match ty:
-        case LArrow(dom, cod):
-            p, image, bound = _fresh_pattern(dom)
-            body = eta_long(LApp(t, image), cod, {**ctx, **bound}, fuel)
-            return LLam(p, body)
-        case LProd(items):
-            n = len(items)
-            if isinstance(t, LTuple) and len(t.items) == n:
-                return LTuple(tuple(eta_long(m, a, ctx, fuel) for m, a in zip(t.items, items)))
-            return LTuple(tuple(eta_long(LApp(proj(i + 1, n), t), a, ctx, fuel)
-                                for i, a in enumerate(items)))
-        case LBase(_):
-            term, _ = _eta_long_neutral(t, ctx, fuel)
-            return term
-    raise TypeError(ty)
-
-
-def _eta_long_neutral(t: LambdaTerm, ctx: dict[str, LambdaType], fuel: int):
+def _eval(t: LambdaTerm, env: dict):
     match t:
         case LVar(x):
-            if x not in ctx:
-                raise KeyError(f"untyped free variable {x}")
-            return t, ctx[x]
+            if x not in env:
+                raise LTypeError(f"untyped free variable {x}")
+            return env[x]
         case LApp(f, a):
-            hit = _is_proj(f)
-            if hit is not None:
-                i, n = hit
-                inner, ity = _eta_long_neutral(a, ctx, fuel)
-                if not isinstance(ity, LProd) or len(ity.items) != n:
-                    raise TypeError(f"projection from non-product {ity}")
-                return LApp(proj(i, n), inner), ity.items[i - 1]
-            fn, fty = _eta_long_neutral(f, ctx, fuel)
-            if not isinstance(fty, LArrow):
-                raise TypeError(f"application of non-arrow {fty}")
-            return LApp(fn, eta_long(a, fty.dom, ctx, fuel)), fty.cod
-    raise TypeError(f"not a neutral term: {t}")
+            return _apply(_eval(f, env), _eval(a, env))
+        case LLam(p, b):
+            return _Closure(p, b, env)
+        case LTuple(items):
+            return tuple(_eval(i, env) for i in items)
+    raise TypeError(t)
+
+
+def _apply(fn, arg):
+    if type(fn) is _Neutral:
+        return _Neutral(fn.head, fn.ty, fn.spine + (arg,))
+    if type(fn) is not _Closure:
+        raise LTypeError("application of a tuple")
+    env = dict(fn.env)
+    _bind(fn.pattern, arg, env)
+    return _eval(fn.body, env)
+
+
+def _components(v, n: int):
+    """The n components of a tuple value; a neutral is projected."""
+    if type(v) is _Neutral:
+        return tuple(_Neutral(v.head, v.ty, v.spine + (i,)) for i in range(n))
+    if type(v) is not tuple or len(v) != n:
+        raise LTypeError(f"expected a {n}-tuple")
+    return v
+
+
+def _bind(p: Pattern, v, env: dict):
+    if type(p) is PVar:
+        env[p.name] = v
+        return
+    for q, w in zip(p.items, _components(v, len(p.items))):
+        _bind(q, w, env)
+
+
+def _reflect(ty: LambdaType, base: str, level: int):
+    """A type-shaped pattern of variables named from `level` on, its value,
+    and the next free level."""
+    if type(ty) is LProd:
+        pats, vals = [], []
+        for a in ty.items:
+            p, v, level = _reflect(a, base, level)
+            pats.append(p)
+            vals.append(v)
+        return PTuple(tuple(pats)), tuple(vals), level
+    name = f"{base}{level}"
+    return PVar(name), _Neutral(LVar(name), ty), level + 1
+
+
+def _reify(v, ty: LambdaType, base: str, level: int) -> LambdaTerm:
+    """The eta-long beta-normal form of value v at type ty."""
+    if type(ty) is LArrow:
+        p, arg, inner = _reflect(ty.dom, base, level)
+        return LLam(p, _reify(_apply(v, arg), ty.cod, base, inner))
+    if type(ty) is LProd:
+        parts = _components(v, len(ty.items))
+        return LTuple(tuple(_reify(w, a, base, level) for w, a in zip(parts, ty.items)))
+    if type(v) is not _Neutral:
+        raise LTypeError(f"a function or tuple at base type {ty}")
+    term, vty = v.head, v.ty
+    for e in v.spine:
+        if type(e) is int:
+            if type(vty) is not LProd:
+                raise LTypeError(f"projection from non-product {vty}")
+            term, vty = LApp(proj(e + 1, len(vty.items)), term), vty.items[e]
+        else:
+            if type(vty) is not LArrow:
+                raise LTypeError(f"application of non-arrow {vty}")
+            term, vty = LApp(term, _reify(e, vty.dom, base, level)), vty.cod
+    return term
+
+
+def normal_form(t: LambdaTerm, ty: LambdaType,
+                ctx: Optional[dict[str, LambdaType]] = None) -> LambdaTerm:
+    """The eta-long beta-normal form of t at type ty, its free variables
+    typed by ctx.  The k-th binder from the root is named base + k, the
+    base chosen so that no name of ctx has that form."""
+    ctx = ctx or {}
+    base = "x"
+    while any(re.fullmatch(re.escape(base) + "[0-9]+", x) for x in ctx):
+        base += "'"
+    env = {x: _Neutral(LVar(x), a) for x, a in ctx.items()}
+    return _reify(_eval(t, env), ty, base, 0)
 
 
 def lambda_beta_eta_eq(a: LambdaTerm, b: LambdaTerm, ty: LambdaType,
                        ctx: Optional[dict[str, LambdaType]] = None) -> bool:
-    ctx = ctx or {}
-    return lalpha_eq(eta_long(a, ty, ctx), eta_long(b, ty, ctx))
+    return normal_form(a, ty, ctx) == normal_form(b, ty, ctx)
 
 
 # -- type inference -----------------------------------------------------------
@@ -333,10 +231,6 @@ def lambda_beta_eta_eq(a: LambdaTerm, b: LambdaTerm, ty: LambdaType,
 @dataclass(frozen=True)
 class LMeta:
     id: int
-
-
-class LTypeError(Exception):
-    pass
 
 
 class _LState:
@@ -352,16 +246,6 @@ class _LState:
         while isinstance(ty, LMeta) and ty.id in self.subst:
             ty = self.subst[ty.id]
         return ty
-
-    def zonk(self, ty):
-        ty = self.resolve(ty)
-        match ty:
-            case LArrow(a, b):
-                return LArrow(self.zonk(a), self.zonk(b))
-            case LProd(items):
-                return LProd(tuple(self.zonk(a) for a in items))
-            case _:
-                return ty
 
     def occurs(self, i, ty) -> bool:
         ty = self.resolve(ty)
@@ -400,64 +284,60 @@ class _LState:
             case _:
                 raise LTypeError(f"cannot unify {a} with {b}")
 
-
-def infer_lambda(t: LambdaTerm, ctx: Optional[dict[str, LambdaType]] = None,
-                 default: LambdaType = LBase("o")) -> LambdaType:
-    """Monomorphic inference; unconstrained metas default to a base type."""
-    st = _LState()
-
-    def pattern_type(p) -> tuple[LambdaType, dict]:
+    def pattern_type(self, p: Pattern, env: dict) -> LambdaType:
+        """The type of a pattern; its variables are bound in env."""
         match p:
             case PVar(x):
-                m = st.fresh()
-                return m, {x: m}
+                env[x] = self.fresh()
+                return env[x]
             case PTuple(items):
-                tys, env = [], {}
-                for q in items:
-                    ty, e = pattern_type(q)
-                    tys.append(ty)
-                    env.update(e)
-                return LProd(tuple(tys)), env
+                return LProd(tuple(self.pattern_type(q, env) for q in items))
+        raise TypeError(p)
 
-    def go(t, env):
+    def infer(self, t: LambdaTerm, env: dict) -> LambdaType:
         match t:
             case LVar(x):
                 if x not in env:
                     raise LTypeError(f"unbound {x}")
                 return env[x]
             case LApp(f, a):
-                fty = go(f, env)
-                aty = go(a, env)
-                res = st.fresh()
-                st.unify(fty, LArrow(aty, res))
+                fty = self.infer(f, env)
+                aty = self.infer(a, env)
+                res = self.fresh()
+                self.unify(fty, LArrow(aty, res))
                 return res
             case LLam(p, b):
-                pty, bound = pattern_type(p)
-                return LArrow(pty, go(b, {**env, **bound}))
+                inner = dict(env)
+                pty = self.pattern_type(p, inner)
+                return LArrow(pty, self.infer(b, inner))
             case LTuple(items):
-                return LProd(tuple(go(i, env) for i in items))
+                return LProd(tuple(self.infer(i, env) for i in items))
         raise TypeError(t)
 
-    ty = go(t, dict(ctx or {}))
-
-    def fill(ty):
-        ty = st.resolve(ty)
+    def fill(self, ty, default: LambdaType) -> LambdaType:
+        ty = self.resolve(ty)
         match ty:
             case LMeta(_):
                 return default
             case LArrow(a, b):
-                return LArrow(fill(a), fill(b))
+                return LArrow(self.fill(a, default), self.fill(b, default))
             case LProd(items):
-                return LProd(tuple(fill(a) for a in items))
+                return LProd(tuple(self.fill(a, default) for a in items))
             case _:
                 return ty
 
-    return fill(ty)
+
+def infer_lambda(t: LambdaTerm, ctx: Optional[dict[str, LambdaType]] = None,
+                 default: LambdaType = LBase("o")) -> LambdaType:
+    """Monomorphic inference; unconstrained metas default to a base type."""
+    st = _LState()
+    return st.fill(st.infer(t, dict(ctx or {})), default)
 
 
 # -- concrete syntax ------------------------------------------------------------
 
-_LTOKEN = re.compile(r"\s*(\\|\.|\(|\)|,|[A-Za-z_][A-Za-z0-9_'%]*|-?[0-9]+)")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_LTOKEN = re.compile(r"\s*(\\|\.|\(|\)|,|" + _IDENT.pattern + r"|-?[0-9]+)")
 
 
 def _ltokens(src: str) -> list[str]:
@@ -474,78 +354,83 @@ def _ltokens(src: str) -> list[str]:
     return toks
 
 
-def parse_lambda(src: str) -> LambdaTerm:
-    toks = _ltokens(src)
-    pos = 0
+class _LParser:
+    def __init__(self, src: str):
+        self.toks = _ltokens(src)
+        self.pos = 0
 
-    def peek():
-        return toks[pos]
+    def peek(self) -> str:
+        return self.toks[self.pos]
 
-    def advance():
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
+    def advance(self) -> str:
+        tok = self.toks[self.pos]
+        self.pos += 1
         return tok
 
-    def parse_pattern() -> Pattern:
-        tok = advance()
+    def pattern(self) -> Pattern:
+        tok = self.advance()
         if tok == "(":
             items = []
-            if peek() != ")":
-                items.append(parse_pattern())
-                while peek() == ",":
-                    advance()
-                    items.append(parse_pattern())
-            if advance() != ")":
+            if self.peek() != ")":
+                items.append(self.pattern())
+                while self.peek() == ",":
+                    self.advance()
+                    items.append(self.pattern())
+            if self.advance() != ")":
                 raise LTypeError("expected ) in pattern")
             return PTuple(tuple(items))
-        if tok.isidentifier():
+        if _IDENT.fullmatch(tok):
             return PVar(tok)
         raise LTypeError(f"bad pattern token {tok!r}")
 
-    def parse_term() -> LambdaTerm:
-        if peek() == "\\":
-            advance()
-            p = parse_pattern()
-            if advance() != ".":
+    def term(self) -> LambdaTerm:
+        if self.peek() == "\\":
+            self.advance()
+            p = self.pattern()
+            names = pattern_vars(p)
+            if len(set(names)) != len(names):
+                raise LTypeError(f"pattern binds a name twice: {_print_pattern(p)}")
+            if self.advance() != ".":
                 raise LTypeError("expected . after pattern")
-            return LLam(p, parse_term())
-        return parse_app()
+            return LLam(p, self.term())
+        return self.app()
 
-    def parse_app() -> LambdaTerm:
-        t = parse_atom()
-        while peek() not in (")", ",", "<eof>"):
-            t = LApp(t, parse_atom())
+    def app(self) -> LambdaTerm:
+        t = self.atom()
+        while self.peek() not in (")", ",", "<eof>"):
+            t = LApp(t, self.atom())
         return t
 
-    def parse_atom() -> LambdaTerm:
-        tok = advance()
+    def atom(self) -> LambdaTerm:
+        tok = self.advance()
         if tok == "(":
-            if peek() == ")":
-                advance()
+            if self.peek() == ")":
+                self.advance()
                 return LTuple(())
-            first = parse_term()
-            if peek() == ",":
+            first = self.term()
+            if self.peek() == ",":
                 items = [first]
-                while peek() == ",":
-                    advance()
-                    items.append(parse_term())
-                if advance() != ")":
+                while self.peek() == ",":
+                    self.advance()
+                    items.append(self.term())
+                if self.advance() != ")":
                     raise LTypeError("expected )")
                 return LTuple(tuple(items))
-            if advance() != ")":
+            if self.advance() != ")":
                 raise LTypeError("expected )")
             return first
         if tok == "\\":
-            pos_back = pos  # a lambda can appear as an argument unparenthesized tail
             raise LTypeError("lambda must be parenthesized in application position")
-        if tok and (tok.isidentifier() or tok.lstrip("-").isdigit()):
+        if _IDENT.fullmatch(tok) or tok.lstrip("-").isdigit():
             return LVar(tok)
         raise LTypeError(f"unexpected token {tok!r}")
 
-    t = parse_term()
-    if peek() != "<eof>":
-        raise LTypeError(f"trailing input {peek()!r}")
+
+def parse_lambda(src: str) -> LambdaTerm:
+    parser = _LParser(src)
+    t = parser.term()
+    if parser.peek() != "<eof>":
+        raise LTypeError(f"trailing input {parser.peek()!r}")
     return t
 
 

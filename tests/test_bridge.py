@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from fmclab.bridge import (
     CVar,
     CWrite,
     IN,
+    LambdaTranslationError,
     OUT,
     RND,
     ND,
@@ -32,15 +34,19 @@ from fmclab.bridge import (
 from fmclab.equivalence import ccc_combinator
 from fmclab.gen import random_cbv, random_lambda_corpus
 from fmclab.lambda_calc import (
+    LApp,
     LArrow,
     LBase,
+    LLam,
     LProd,
     LTuple,
+    LTypeError,
     LVar,
+    PTuple,
+    PVar,
     infer_lambda,
-    lalpha_eq,
     lambda_beta_eta_eq,
-    lambda_normalize,
+    normal_form,
     parse_lambda,
     print_lambda,
     proj,
@@ -49,7 +55,7 @@ from fmclab.machine import int_term, run
 from fmclab.parser import parse_term, parse_type, print_term
 from fmclab.reduction import normalize
 from fmclab.syntax import Location, MAIN, alpha_eq, compose
-from fmclab.typesys import Base, Vector, check_infer
+from fmclab.typesys import Arrow, Base, Vector, check_infer, mem
 
 p = parse_term
 o = LBase("o")
@@ -165,13 +171,20 @@ def test_delta_translates_to_pairing():
 def test_constants_become_applied_symbols():
     d = check_infer({}, p("<x:Z>.[x].[1].+"), parse_type("Z > Z"))
     lam, ty = fmc_to_lambda_closed(d)
-    nf = lambda_normalize(lam)
-    assert "+" in print_lambda(nf)
+    z = LBase("Z")
+    consts = {"+": LArrow(LProd((z, z)), z), "1": z}
+    plus_one = LLam(PVar("n"), LApp(LVar("+"), LTuple((LVar("n"), LVar("1")))))
+    assert lambda_beta_eta_eq(lam, plus_one, ty, consts)
+    assert normal_form(lam, ty, consts) == LLam(
+        PVar("x0"), LApp(LVar("+"), LTuple((LVar("x0"), LVar("1")))))
 
 
 def test_translation_needs_sequential_terms():
     d = check_infer({}, p("a<x>.[x]a"), parse_type("a(Z) > a(Z)"))
-    with pytest.raises(ValueError):
+    with pytest.raises(LambdaTranslationError):
+        fmc_to_lambda(d)
+    d = check_infer({}, p("[1]a.<x>.[x]"), parse_type("Z > a(Z) Z"))
+    with pytest.raises(LambdaTranslationError):
         fmc_to_lambda(d)
 
 
@@ -205,7 +218,6 @@ def test_roundtrip_pair_projection():
 
 
 def test_roundtrip_corpus():
-    failures = 0
     corpus = random_lambda_corpus(seed=505, count=80, max_size=15)
     for lam, ty in corpus:
         _roundtrip_ok(lam, ty)
@@ -215,39 +227,32 @@ def test_roundtrip_corpus():
 def _roundtrip_ok(lam, ty):
     fmc = lambda_to_fmc(lam, [], ty)
     vec = lambda_type_vector(ty)
-    from fmclab.typesys import Arrow, mem
-
     fmc_ty = Arrow(mem({}), mem({MAIN: Vector(vec)}))
     deriv = check_infer({}, fmc, fmc_ty)
     back, back_ty = fmc_to_lambda_closed(deriv)
-    if len(vec) > 1:
-        # a product value comes back as a tuple of slots
-        assert lambda_beta_eta_eq(back, lam, ty)
-    else:
-        assert lambda_beta_eta_eq(back, lam, ty)
+    assert lambda_beta_eta_eq(back, lam, ty)
 
 
 # -- lambda-side equational theory ----------------------------------------------------------
 
 def test_lambda_beta():
-    assert lalpha_eq(lambda_normalize(parse_lambda("(\\x.x) y")), LVar("y"))
+    t = parse_lambda("(\\x.x) y")
+    assert normal_form(t, o, {"y": o}) == LVar("y")
+    assert lambda_beta_eta_eq(t, LVar("y"), o, {"y": o})
+    assert not lambda_beta_eta_eq(t, LVar("z"), o, {"y": o, "z": o})
 
 
 def test_lambda_pattern_beta():
     t = parse_lambda("(\\(a,b).a) (m, n)")
-    assert lalpha_eq(lambda_normalize(t), LVar("m"))
+    ctx = {"m": o, "n": o}
+    assert normal_form(t, o, ctx) == LVar("m")
+    assert not lambda_beta_eta_eq(t, LVar("n"), o, ctx)
 
 
 def test_lambda_product_eta():
     m_ty = LProd((o, o))
-    lhs = LTuple((LApp_(proj(1, 2), LVar("m")), LApp_(proj(2, 2), LVar("m"))))
+    lhs = LTuple((LApp(proj(1, 2), LVar("m")), LApp(proj(2, 2), LVar("m"))))
     assert lambda_beta_eta_eq(lhs, LVar("m"), m_ty, {"m": m_ty})
-
-
-def LApp_(f, a):
-    from fmclab.lambda_calc import LApp
-
-    return LApp(f, a)
 
 
 def test_lambda_function_eta():
@@ -291,7 +296,198 @@ def test_sequencing_image():
     lam, lty = fmc_to_lambda_closed(d)
     lam_n, _ = fmc_to_lambda_closed(dn)
     lam_m, _ = fmc_to_lambda_closed(dm)
-    from fmclab.lambda_calc import LApp, PVar, LLam
-
     composed = LLam(PVar("s"), LApp(lam_m, LApp(lam_n, LVar("s"))))
     assert lambda_beta_eta_eq(lam, composed, LArrow(LBase("Z"), LBase("Z")))
+
+
+# -- normal forms by evaluation ---------------------------------------------------------------
+
+def test_pattern_binding_projects_a_neutral():
+    t = parse_lambda("\\f.\\g.\\x.(\\(u,v). g v u) (f x)")
+    renamed = parse_lambda("\\a.\\b.\\c.(\\(p,q). b q p) (a c)")
+    ty = infer_lambda(t)
+    assert lambda_beta_eta_eq(t, renamed, ty)
+    assert print_lambda(normal_form(t, ty)) == (
+        "\\x0.\\x1.\\x2.x1 ((\\(pr1, pr2).pr2) (x0 x2)) ((\\(pr1, pr2).pr1) (x0 x2))")
+
+
+def _random_product(rng, depth):
+    items = []
+    for _ in range(rng.randint(2, 3)):
+        items.append(_random_product(rng, depth - 1) if depth > 0 and rng.random() < 0.4
+                     else LBase(rng.choice("op")))
+    return LProd(tuple(items))
+
+
+def _random_shape(rng, ty):
+    """The shape of a pattern at ty: None binds one variable."""
+    if isinstance(ty, LProd) and rng.random() < 0.8:
+        return [_random_shape(rng, a) for a in ty.items]
+    return None
+
+
+def _shape_pattern(shape, names):
+    if shape is None:
+        return PVar(next(names))
+    return PTuple(tuple(_shape_pattern(s, names) for s in shape))
+
+
+def _shape_leaves(shape, ty, term):
+    """(type, projection of term) for each variable of the pattern, in order."""
+    if shape is None:
+        return [(ty, term)]
+    out = []
+    for i, (s, a) in enumerate(zip(shape, ty.items)):
+        out += _shape_leaves(s, a, LApp(proj(i + 1, len(ty.items)), term))
+    return out
+
+
+def pattern_redexes(seed: int, count: int):
+    """Seeded (redex, binder-renamed redex, hand-projected form, type, context):
+    a tuple-pattern abstraction applied to a neutral of product type."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ty = _random_product(rng, 2)
+        ctx = {"f": LArrow(o, ty), "m": ty, "x": o, "k": LArrow(o, o)}
+        neutral = rng.choice([LApp(LVar("f"), LVar("x")), LVar("m")])
+        shape = _random_shape(rng, ty)
+        leaves = _shape_leaves(shape, ty, neutral)
+        picks = [(rng.randrange(len(leaves)), rng.random() < 0.3) for _ in range(rng.randint(1, 4))]
+        wrap = rng.random() < 0.5
+
+        def body(leaf):
+            items = [LApp(LVar("k"), leaf(i)) if apply_k and leaves[i][0] == o else leaf(i)
+                     for i, apply_k in picks]
+            if wrap:
+                items.append(LVar("z"))
+            out = items[0] if len(items) == 1 else LTuple(tuple(items))
+            return LLam(PVar("z"), out) if wrap else out
+
+        def redex(prefix):
+            pattern = _shape_pattern(shape, (f"{prefix}{i}" for i in range(len(leaves))))
+            return LApp(LLam(pattern, body(lambda i: LVar(f"{prefix}{i}"))), neutral)
+
+        item_tys = [o if apply_k and leaves[i][0] == o else leaves[i][0] for i, apply_k in picks]
+        if wrap:
+            item_tys.append(o)
+        body_ty = item_tys[0] if len(item_tys) == 1 else LProd(tuple(item_tys))
+        if wrap:
+            body_ty = LArrow(o, body_ty)
+        yield redex("u"), redex("w"), body(lambda i: leaves[i][1]), body_ty, ctx
+
+
+def test_pattern_redexes_on_neutrals():
+    count = 0
+    for lhs, renamed, projected, ty, ctx in pattern_redexes(seed=1616, count=250):
+        assert infer_lambda(lhs, ctx) == ty
+        nf = normal_form(lhs, ty, ctx)
+        assert normal_form(projected, ty, ctx) == nf, print_lambda(lhs)
+        assert normal_form(renamed, ty, ctx) == nf, print_lambda(lhs)
+        count += 1
+    assert count == 250
+
+
+def test_normal_form_names_binders_apart_from_context():
+    ty = LArrow(o, o)
+    ctx = {"x0": ty, "x1": o}
+    nf = normal_form(LVar("x0"), ty, ctx)
+    assert nf == LLam(PVar("x'0"), LApp(LVar("x0"), LVar("x'0")))
+    assert lambda_beta_eta_eq(parse_lambda("\\y.x0 y"), LVar("x0"), ty, ctx)
+    assert not lambda_beta_eta_eq(parse_lambda("\\y.x0 x1"), LVar("x0"), ty, ctx)
+
+
+def test_normal_form_rejects_untyped_input():
+    with pytest.raises(LTypeError):
+        normal_form(LVar("y"), o)
+    with pytest.raises(LTypeError):
+        normal_form(parse_lambda("\\x.x"), o)
+
+
+# -- concrete lambda syntax ----------------------------------------------------------------
+
+def test_lambda_identifiers_match_the_calculus():
+    t = parse_lambda("\\x'.(x', y_1')")
+    assert t == LLam(PVar("x'"), LTuple((LVar("x'"), LVar("y_1'"))))
+    assert parse_lambda(print_lambda(t)) == t
+    for bad in ("\\s%1.s%1", "x%", "\\(a, b%).a"):
+        with pytest.raises(LTypeError):
+            parse_lambda(bad)
+
+
+def test_nonlinear_pattern_rejected():
+    for src in ("\\(x,x).x", "\\(x,(y,x)).y", "f (\\(a,a).a)"):
+        with pytest.raises(LTypeError):
+            parse_lambda(src)
+    assert parse_lambda("\\(x,y).\\x.x") == LLam(
+        PTuple((PVar("x"), PVar("y"))), LLam(PVar("x"), LVar("x")))
+
+
+def _corpus_translations():
+    """(lambda-term, its translation, the translation's type, the translation back)
+    for criterion 10's corpus."""
+    for lam, ty in random_lambda_corpus(seed=424242, count=500, max_size=15):
+        fmc = lambda_to_fmc(lam, [], ty)
+        fmc_ty = Arrow(mem({}), mem({MAIN: Vector(lambda_type_vector(ty))}))
+        back, _ = fmc_to_lambda_closed(check_infer({}, fmc, fmc_ty))
+        yield lam, fmc, fmc_ty, back
+
+
+def test_translations_print_and_parse_back():
+    count = 0
+    for lam, fmc, _, back in _corpus_translations():
+        assert parse_lambda(print_lambda(lam)) == lam
+        assert p(print_term(fmc)) == fmc
+        assert parse_lambda(print_lambda(back)) == back
+        count += 1
+    assert count == 500
+    for path, ty in (("corpus/identity.fmc", "Z > Z"), ("corpus/swap.fmc", "Z B > B Z")):
+        with open(path, encoding="utf-8") as fh:
+            d = check_infer({}, p(fh.read()), parse_type(ty))
+        lam, _ = fmc_to_lambda_closed(d)
+        assert parse_lambda(print_lambda(lam)) == lam
+        fmc = lambda_to_fmc(lam, [], None)
+        assert p(print_term(fmc)) == fmc
+    with open("corpus/pair_first.lam", encoding="utf-8") as fh:
+        fmc = lambda_to_fmc(parse_lambda(fh.read()))
+    assert p(print_term(fmc)) == fmc
+
+
+def test_translated_names_avoid_free_and_constant_names():
+    free = {"s1": Base("Z"), "a2": Base("Z")}
+    d = check_infer(free, p("<x>.[s1].[a2].[x]"), parse_type("Z > Z Z Z"))
+    ctx_vars, outs = fmc_to_lambda(d)
+    assert set(ctx_vars).isdisjoint({"s1", "a2"})
+    assert outs[:2] == [LVar("s1"), LVar("a2")]
+    t = lambda_to_fmc(parse_lambda("\\x.x"), [], LArrow(o, o))
+    assert print_term(t) == "[<g1>.[g1]]"
+
+
+def test_shadowed_names_translate_to_the_inner_binding():
+    oo = LArrow(o, LArrow(o, o))
+    inner = lambda_to_fmc(parse_lambda("\\x.\\x.x"), [], oo)
+    assert inner == lambda_to_fmc(parse_lambda("\\x.\\y.y"), [], oo)
+    assert inner != lambda_to_fmc(parse_lambda("\\x.\\y.x"), [], oo)
+    assert lambda_to_fmc(LVar("x"), [("x", o), ("x", LProd((o, o)))]) == p("<a>.<b>.<c>.[c]")
+
+
+def test_lambda_and_bridge_make_no_reference_cycles():
+    corpus = random_lambda_corpus(seed=7, count=40, max_size=12)
+    cbv = random_cbv(seed=7, count=40)
+    d = check_infer({}, p("<x>.<y>.[y].[x]"), parse_type("Z Z > Z Z"))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for (lam, ty), prog in zip(corpus, cbv):
+            parse_lambda(print_lambda(lam))
+            infer_lambda(lam)
+            normal_form(lam, ty)
+            lambda_to_fmc(lam, [], ty)
+            encode_cbv(prog)
+            fmc_to_lambda_closed(d)
+        gc.collect()
+        modules = ("fmclab.lambda_calc", "fmclab.bridge")
+        leaked = [obj for obj in gc.garbage if getattr(obj, "__module__", None) in modules]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []

@@ -102,14 +102,77 @@ def test_equiv_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
-def test_to_lambda(capsys):
+def test_to_lambda(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "to-lambda", f"{CORPUS}/swap.fmc", "--type", "Z B > B Z")
-    assert code == 0 and out.strip().startswith("\\")
+    assert code == 0 and out.strip() == "\\(s1, s2).(s2, s1)"
+    lam = tmp_path / "swap.lam"
+    lam.write_text(out)
+    code, out, _ = run_cli(capsys, "from-lambda", str(lam))
+    assert code == 0 and "<g1>" in out
 
 
-def test_from_lambda(capsys):
+def test_from_lambda(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "from-lambda", f"{CORPUS}/pair_first.lam")
-    assert code == 0 and out.strip() == "[<g%2>.<g%1>.[g%1]]".replace("%", "%") or out
+    assert code == 0 and out.strip() == "[<g2>.<g1>.[g1]]"
+    fmc = tmp_path / "pair_first.fmc"
+    fmc.write_text(out)
+    code, out, _ = run_cli(capsys, "infer", str(fmc))
+    assert code == 0 and ">" in out
+
+
+def test_to_lambda_rejects_effects(capsys, tmp_path):
+    src = tmp_path / "effect.fmc"
+    src.write_text("a<x>.[x]a\n")
+    code, _, err = run_cli(capsys, "to-lambda", str(src), "--type", "a(Z) > a(Z)")
+    assert code == 3 and "sequential" in err and "Traceback" not in err
+    src.write_text("[1]a.<x>.[x]\n")
+    code, _, err = run_cli(capsys, "to-lambda", str(src), "--type", "Z > a(Z) Z")
+    assert code == 3 and "sequential" in err
+
+
+def test_from_lambda_rejects_bad_input(capsys, tmp_path):
+    src = tmp_path / "bad.lam"
+    for text in ("\\(x,x).x", "\\s%1.s%1"):
+        src.write_text(text)
+        code, _, err = run_cli(capsys, "from-lambda", str(src))
+        assert code == 3 and "error" in err
+    src.write_text("\\x'.x'")
+    code, out, _ = run_cli(capsys, "from-lambda", str(src))
+    assert code == 0 and out.strip() == "[<g1>.[g1]]"
+
+
+def test_translations_parse_back_through_the_cli(capsys, tmp_path):
+    from fmclab.bridge import fmc_to_lambda_closed, lambda_to_fmc, lambda_type_vector
+    from fmclab.gen import random_lambda_corpus
+    from fmclab.lambda_calc import infer_lambda, parse_lambda, print_lambda
+    from fmclab.parser import parse_term, parse_type, print_type
+    from fmclab.syntax import MAIN
+    from fmclab.typesys import Arrow, Vector, check_infer, mem
+
+    lam_file, fmc_file = tmp_path / "t.lam", tmp_path / "t.fmc"
+    corpus = random_lambda_corpus(seed=424242, count=500, max_size=15)
+    for lam, _ in corpus:
+        lam_file.write_text(print_lambda(lam))
+        code, out, err = run_cli(capsys, "from-lambda", str(lam_file))
+        assert code == 0, err
+        ty = infer_lambda(lam)
+        assert parse_term(out) == lambda_to_fmc(lam, [], ty)
+        fmc_ty = print_type(Arrow(mem({}), mem({MAIN: Vector(lambda_type_vector(ty))})))
+        fmc_file.write_text(out)
+        code, out, err = run_cli(capsys, "to-lambda", str(fmc_file), "--type", fmc_ty)
+        assert code == 0, err
+        back, _ = fmc_to_lambda_closed(check_infer({}, parse_term(fmc_file.read_text()),
+                                                   parse_type(fmc_ty)))
+        assert parse_lambda(out) == back
+    for path, ty in (("identity.fmc", "Z > Z"), ("swap.fmc", "Z B > B Z")):
+        code, out, err = run_cli(capsys, "to-lambda", f"{CORPUS}/{path}", "--type", ty)
+        assert code == 0, err
+        lam_file.write_text(out)
+        code, out, err = run_cli(capsys, "from-lambda", str(lam_file))
+        assert code == 0 and parse_term(out) == lambda_to_fmc(parse_lambda(lam_file.read_text()))
+    code, out, err = run_cli(capsys, "from-lambda", f"{CORPUS}/pair_first.lam")
+    fmc_file.write_text(out)
+    assert code == 0 and run_cli(capsys, "infer", str(fmc_file))[0] == 0
 
 
 def test_encode_cbv(capsys):
